@@ -71,6 +71,10 @@ def _cmd_check(args) -> int:
     from .numzeta import verify_relation
     import mpmath as mp
 
+    # Below 15 digits the residual threshold 10^-(digits-10) proves little;
+    # above 40 the confirming pass at digits + 10 exceeds zeta_double's 50.
+    if not 15 <= args.digits <= 40:
+        raise ValueError(f"--digits must be in 15..40, got {args.digits}")
     ok = True
     rels = relations.gkz_relations(args.weight)
     if not rels:
@@ -92,10 +96,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    weights = range(args.start + args.start % 2, args.stop + 1, 2)
+    if not weights or weights[0] < 12 or weights[-1] > 40:
+        raise ValueError("--from/--to must span at least one even weight, "
+                         "all within 12..40")
     ok = True
-    for k in range(args.start, args.stop + 1):
-        if k % 2:
-            continue
+    for k in weights:
         rep = relations.correspondence_report(k)
         ok = ok and rep.all_ok
         print(json.dumps(rep.to_dict()))

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import NcPoly, Word, concat, pair, stuffle
+from .words import NcPoly, Word, accumulate, concat, pair, stuffle, stuffle_pairs
 
 X = NcPoly.word("x")
 Y = NcPoly.word("y")
@@ -42,12 +42,12 @@ def _dynkin_word(w: Word) -> NcPoly:
 
 def dynkin(f: NcPoly) -> NcPoly:
     """Linear extension of the left-to-right bracketing map."""
-    out = NcPoly.zero()
+    out: dict = {}
     for w, c in f.terms.items():
         if not w:
             raise ValueError("Dynkin map is undefined on the empty word")
-        out = out + _dynkin_word(w).scale(c)
-    return out
+        accumulate(out, _dynkin_word(w).terms, c)
+    return NcPoly._wrap(out)
 
 
 def is_lie(f: NcPoly) -> bool:
@@ -63,13 +63,13 @@ def is_lie(f: NcPoly) -> bool:
 def derivation_apply(f: NcPoly, g: NcPoly) -> NcPoly:
     """D_f(g), where D_f(x) = 0 and D_f(y) = [y, f]."""
     yf = bracket(Y, f)
-    out = NcPoly.zero()
+    out: dict = {}
     for w, c in g.terms.items():
         for p, letter in enumerate(w):
             if letter == "y":
                 piece = concat(concat(NcPoly.word(w[:p]), yf), NcPoly.word(w[p + 1:]))
-                out = out + piece.scale(c)
-    return out
+                accumulate(out, piece.terms, c)
+    return NcPoly._wrap(out)
 
 
 def poisson(f: NcPoly, g: NcPoly) -> NcPoly:
@@ -89,24 +89,10 @@ def odot(f: NcPoly, g: NcPoly) -> NcPoly:
 # -- double shuffle conditions -------------------------------------------
 
 
-def _words_ending_in_y(n: int) -> list:
-    from .words import words_of_weight
-    return [w for w in words_of_weight(n) if w.endswith("y")]
-
-
 def admissible_stuffle_pairs(n: int) -> list:
     """Pairs (u, v), u <= v, of nonempty words ending in y with |u| + |v| = n,
     not both powers of y."""
-    pairs = []
-    for a in range(1, n // 2 + 1):
-        for u in _words_ending_in_y(a):
-            for v in _words_ending_in_y(n - a):
-                if u > v and len(u) == len(v):
-                    continue
-                if set(u) == {"y"} and set(v) == {"y"}:
-                    continue
-                pairs.append((u, v))
-    return pairs
+    return [(u, v) for u, v in stuffle_pairs(n) if "x" in u + v]
 
 
 def ds_check(f: NcPoly) -> list:
@@ -211,9 +197,10 @@ def ds_solve(n: int) -> list:
     ]
     out = []
     for vec in ker:
-        f = NcPoly.zero()
+        terms: dict = {}
         for c, b in zip(vec, basis):
-            f = f + b.scale(c)
+            accumulate(terms, b.terms, c)
+        f = NcPoly._wrap(terms)
         lead = f.coeff("x" * (n - 1) + "y")
         if lead:
             f = f.scale(Fraction(1) / lead)

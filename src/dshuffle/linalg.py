@@ -21,11 +21,9 @@ import math
 from fractions import Fraction
 from typing import List, Sequence
 
+from .words import _fr, format_rational
+
 RatVector = List[Fraction]
-
-
-def _fr(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 class Mat:
@@ -118,15 +116,12 @@ class Mat:
     # -- serialization --------------------------------------------------
 
     def to_csv(self) -> str:
-        from .words import format_rational
         return "\n".join(",".join(format_rational(c) for c in row) for row in self.rows)
 
     def to_json(self) -> str:
-        from .words import format_rational
         return json.dumps([[format_rational(c) for c in row] for row in self.rows])
 
     def __str__(self) -> str:
-        from .words import format_rational
         cells = [[format_rational(c) for c in row] for row in self.rows]
         width = max((len(s) for row in cells for s in row), default=1)
         return "\n".join("[ " + "  ".join(s.rjust(width) for s in row) + " ]"
@@ -258,7 +253,8 @@ def build_B(k: int) -> Mat:
 
 def conjugate_M(k: int) -> Mat:
     """M = T^-1 A T."""
-    return build_T(k).inverse() @ build_A(k) @ build_T(k)
+    T = build_T(k)
+    return T.inverse() @ build_A(k) @ T
 
 
 def block_check(M: Mat, k: int) -> bool:

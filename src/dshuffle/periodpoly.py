@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import List
 
 from .linalg import Mat, RatVector, kernel, normalize_vector
+from .words import format_terms
 
 
 @dataclass(frozen=True)
@@ -45,28 +46,10 @@ class PeriodPoly:
         return not any(self.coeffs)
 
     def __str__(self) -> str:
-        from .words import format_rational
         n = len(self.coeffs)
-        parts = []
         # pair X^(k-2-2i) with X^(2i), highest power first
-        for i in range(n - 1, (n + 1) // 2 - 1, -1):
-            hi, lo = 2 * (i + 1), self.k - 2 - 2 * (i + 1)
-            c = self.coeffs[i]
-            if not c:
-                continue
-            pair = f"(X^{hi} - X^{lo})"
-            if c == 1:
-                parts.append(pair)
-            elif c == -1:
-                parts.append(f"-{pair}")
-            else:
-                parts.append(f"{format_rational(c)}{pair}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((f"(X^{2 * i + 2} - X^{self.k - 4 - 2 * i})", self.coeffs[i])
+                            for i in range(n - 1, (n + 1) // 2 - 1, -1))
 
 
 def ek_dim_formula(k: int) -> int:

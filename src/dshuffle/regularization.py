@@ -14,28 +14,33 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .words import (Word, check_word, composition_of_word, format_rational,
-                    is_convergent, pi_convergent, shuffle, stuffle,
-                    words_of_weight)
+from .words import (NcPoly, Word, _fr, accumulate, check_word,
+                    composition_of_word, format_terms, is_convergent,
+                    pi_convergent, shuffle, shuffle_poly, stuffle,
+                    stuffle_pairs, words_of_weight)
 
 
-class ZetaCombo:
-    """Rational combination of Z(w) symbols for convergent words w,
-    plus a scalar slot for weight-0 unit terms."""
+class ZetaCombo(NcPoly):
+    """Rational combination of Z(w) symbols for convergent words w; the
+    coefficient of the empty word is the scalar (weight-0 unit) part.
 
-    __slots__ = ("terms", "scalar")
+    Arithmetic is NcPoly's and keeps the type of the left operand; sums,
+    multiples and shuffles of ZetaCombos stay on convergent or empty words,
+    so only the constructor checks words."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Word, Fraction] | None = None, scalar=0):
-        self.terms: dict = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                if not is_convergent(w):
-                    raise ValueError(f"non-convergent symbol: {w!r}")
-                self.terms[w] = c
-        self.scalar = Fraction(scalar)
+        super().__init__(terms)
+        bad = [w for w in self.terms if w and not is_convergent(w)]
+        if bad:
+            raise ValueError(f"non-convergent symbol: {bad[0]!r}")
+        if scalar:
+            accumulate(self.terms, {"": _fr(scalar)})
+
+    @property
+    def scalar(self) -> Fraction:
+        return self.coeff("")
 
     @classmethod
     def unit(cls) -> "ZetaCombo":
@@ -45,84 +50,14 @@ class ZetaCombo:
     def symbol(cls, w: Word) -> "ZetaCombo":
         return cls({w: Fraction(1)})
 
-    def __add__(self, other: "ZetaCombo") -> "ZetaCombo":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = ZetaCombo.__new__(ZetaCombo)
-        res.terms = out
-        res.scalar = self.scalar + other.scalar
-        return res
-
-    def __sub__(self, other: "ZetaCombo") -> "ZetaCombo":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ZetaCombo":
-        c = Fraction(c)
-        res = ZetaCombo.__new__(ZetaCombo)
-        res.terms = {} if not c else {w: c * v for w, v in self.terms.items()}
-        res.scalar = c * self.scalar
-        return res
-
     def __mul__(self, other: "ZetaCombo") -> "ZetaCombo":
         """Shuffle multiplication Z(u) Z(v) = Z(u sh v)."""
-        res = other.scale(self.scalar) + self.scale(other.scalar)
-        res.scalar -= self.scalar * other.scalar
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                for w, m in shuffle(u, v).terms.items():
-                    s = res.terms.get(w, 0) + a * b * m
-                    if s:
-                        res.terms[w] = s
-                    else:
-                        res.terms.pop(w, None)
-        return res
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ZetaCombo) and self.terms == other.terms
-                and self.scalar == other.scalar)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms) or bool(self.scalar)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(w, Fraction(0))
-
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        if self.scalar:
-            lengths.add(0)
-        return len(lengths) <= 1
+        return shuffle_poly(self, other)
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.scalar:
-            parts.append(format_rational(self.scalar))
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            sym = "Z(" + ", ".join(str(r) for r in composition_of_word(w)) + ")"
-            if c == 1:
-                parts.append(sym)
-            elif c == -1:
-                parts.append(f"-{sym}")
-            else:
-                parts.append(f"{format_rational(c)} {sym}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"ZetaCombo({str(self)})"
+        def symbol(w):
+            return f"Z({', '.join(map(str, composition_of_word(w)))})" if w else ""
+        return format_terms(((symbol(w), self.terms[w]) for w in self.words()), " ")
 
 
 def decompose(w: Word) -> tuple:
@@ -142,27 +77,21 @@ def shuffle_regularize(w: Word) -> ZetaCombo:
     if is_convergent(w):
         return ZetaCombo.symbol(w)
     r, v, s = decompose(w)
-    out = ZetaCombo()
+    out: dict = {}
     for a in range(r + 1):
         for b in range(s + 1):
             inner = "y" * (r - a) + v + "x" * (s - b)
-            poly = shuffle("y" * a, inner)
-            acc = {}
-            for u, c in poly.terms.items():
-                for t, m in shuffle(u, "x" * b).terms.items():
-                    acc[t] = acc.get(t, 0) + c * m
-            proj = {t: c for t, c in acc.items() if is_convergent(t)}
-            sign = -1 if (a + b) % 2 else 1
-            out = out + ZetaCombo(proj).scale(sign)
-    return out
+            poly = shuffle_poly(shuffle("y" * a, inner), NcPoly.word("x" * b))
+            accumulate(out, pi_convergent(poly).terms, -1 if (a + b) % 2 else 1)
+    return ZetaCombo._wrap(out)
 
 
 def regularize_poly(f) -> ZetaCombo:
     """Linear extension of shuffle_regularize to a polynomial."""
-    out = ZetaCombo()
+    out: dict = {}
     for w, c in f.terms.items():
-        out = out + shuffle_regularize(w).scale(c)
-    return out
+        accumulate(out, shuffle_regularize(w).terms, c)
+    return ZetaCombo._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -176,25 +105,23 @@ def star_units(N: int) -> tuple:
     for r in range(2, N + 1):
         sign = Fraction(1 if (r - 1) % 2 == 0 else -1, r)
         expo[r] = shuffle_regularize("x" * (r - 1) + "y").scale(sign)
-    result = [ZetaCombo() for _ in range(N + 1)]
-    result[0] = ZetaCombo.unit()
-    power = list(result)  # running expo^m / m!
-    m = 0
-    while True:
-        m += 1
-        if 2 * m > N:
-            break
-        nxt = [ZetaCombo() for _ in range(N + 1)]
-        for i in range(N + 1):
-            if not power[i]:
+    result = [{} for _ in range(N + 1)]
+    result[0][""] = Fraction(1)
+    power = [ZetaCombo.unit()] + [ZetaCombo()] * N  # running expo^m / m!
+    m = 1
+    while 2 * m <= N:
+        nxt = [{} for _ in range(N + 1)]
+        for i, p in enumerate(power):
+            if not p:
                 continue
             for j in range(2, N + 1 - i):
                 if expo[j]:
-                    nxt[i + j] = nxt[i + j] + (power[i] * expo[j]).scale(Fraction(1, m))
-        power = nxt
-        for i in range(N + 1):
-            result[i] = result[i] + power[i]
-    return tuple(result)
+                    accumulate(nxt[i + j], (p * expo[j]).terms, Fraction(1, m))
+        power = [ZetaCombo._wrap(t) for t in nxt]
+        for acc, p in zip(result, power):
+            accumulate(acc, p.terms)
+        m += 1
+    return tuple(ZetaCombo._wrap(t) for t in result)
 
 
 def star_regularize(w: Word) -> ZetaCombo:
@@ -211,40 +138,25 @@ def star_regularize(w: Word) -> ZetaCombo:
     units = star_units(len(w))
     if not v:
         return units[m]
-    out = ZetaCombo()
+    out: dict = {}
     for r in range(m + 1):
-        out = out + units[r] * shuffle_regularize("y" * (m - r) + v)
-    return out
+        accumulate(out, (units[r] * shuffle_regularize("y" * (m - r) + v)).terms)
+    return ZetaCombo._wrap(out)
 
 
 def stuffle_relation(u: Word, v: Word) -> ZetaCombo:
     """The relation Z*(u) Z*(v) - Z*(u * v), resolved onto convergent
     symbols; set to zero in the formal zeta quotient."""
-    lhs = star_regularize(u) * star_regularize(v)
-    rhs = ZetaCombo()
+    out = dict((star_regularize(u) * star_regularize(v)).terms)
     for w, c in stuffle(u, v).terms.items():
-        rhs = rhs + star_regularize(w).scale(c)
-    return lhs - rhs
-
-
-def _y_pairs(n: int) -> list:
-    """All (u, v), u <= v, nonempty words ending in y with |u| + |v| = n."""
-    pairs = []
-    for a in range(1, n // 2 + 1):
-        us = [w for w in words_of_weight(a) if w.endswith("y")]
-        vs = [w for w in words_of_weight(n - a) if w.endswith("y")]
-        for u in us:
-            for v in vs:
-                if a == n - a and u > v:
-                    continue
-                pairs.append((u, v))
-    return pairs
+        accumulate(out, star_regularize(w).terms, -c)
+    return ZetaCombo._wrap(out)
 
 
 def weight_relations(n: int) -> list:
     """All stuffle relations of weight n as ZetaCombos."""
     out = []
-    for u, v in _y_pairs(n):
+    for u, v in stuffle_pairs(n):
         rel = stuffle_relation(u, v)
         if rel:
             out.append(rel)
@@ -259,7 +171,6 @@ def fz_quotient_dim(n: int) -> tuple:
     from .linalg import Mat
 
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
-    index = {w: i for i, w in enumerate(symbols)}
     rows = []
     for rel in weight_relations(n):
         if rel.scalar:

@@ -16,7 +16,7 @@ from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D,
                      conjugate_M, block_check, kernel, normalize_vector,
                      same_span, symmetry_product)
 from .periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
-from .words import format_rational
+from .words import format_rational, format_terms
 
 
 @dataclass(frozen=True)
@@ -53,41 +53,10 @@ class Relation:
 
     def __str__(self) -> str:
         if self.kind == "bracket":
-            parts = []
-            for (r, s), c in self.terms:
-                if not c:
-                    continue
-                sym = f"{{f{r}, f{s}}}"
-                if c == 1:
-                    parts.append(sym)
-                elif c == -1:
-                    parts.append(f"-{sym}")
-                else:
-                    parts.append(f"{format_rational(c)} {sym}")
-            body = _join_signed(parts)
+            body = format_terms(((f"{{f{r}, f{s}}}", c) for (r, s), c in self.terms), " ")
             return f"{body} ≡ 0 (mod depth 3)"
-        parts = []
-        for (r, s), c in self.terms:
-            if not c:
-                continue
-            sym = f"Z({r},{s})"
-            if c == 1:
-                parts.append(sym)
-            elif c == -1:
-                parts.append(f"-{sym}")
-            else:
-                parts.append(f"{format_rational(c)} {sym}")
-        body = _join_signed(parts) if parts else "0"
+        body = format_terms(((f"Z({r},{s})", c) for (r, s), c in self.terms), " ")
         return f"{body} ≡ 0 (mod Z({self.weight}))"
-
-
-def _join_signed(parts: list) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
 
 
 def ihara_relations(k: int) -> List[Relation]:
@@ -111,8 +80,8 @@ def gkz_relations(k: int) -> List[Relation]:
     with r descending, Z(k-3, 3) first.  Every emitted vector is verified
     to lie in Ker tA, and the emitted set is checked to span it.
     """
-    A = build_A(k)
-    ker_t = kernel(A.transpose())
+    tA = build_A(k).transpose()
+    ker_t = kernel(tA)
     out = []
     vecs = []
     for P in ek_basis(k):
@@ -120,7 +89,7 @@ def gkz_relations(k: int) -> List[Relation]:
         if q and q[-1] < 0:
             q = [-c for c in q]
         q = [2 * c for c in q]
-        if any(A.transpose().mul_vec(q)):
+        if any(tA.mul_vec(q)):
             raise AssertionError("q-vector fell outside Ker tA")
         vecs.append(q)
         pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]

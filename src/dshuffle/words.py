@@ -106,31 +106,26 @@ class NcPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
+    @classmethod
+    def _wrap(cls, terms: dict) -> "NcPoly":
+        """A polynomial of this class on terms that already hold its
+        invariants (checked words, no zero coefficients), taken as is."""
+        res = object.__new__(cls)
+        res.terms = terms
         return res
+
+    def __add__(self, other: "NcPoly") -> "NcPoly":
+        return self._wrap(accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
 
     def __neg__(self) -> "NcPoly":
-        res = NcPoly.__new__(NcPoly)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return self._wrap({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NcPoly":
         c = _fr(c)
-        res = NcPoly.__new__(NcPoly)
-        res.terms = {} if not c else {w: c * v for w, v in self.terms.items()}
-        return res
+        return self._wrap({} if not c else {w: c * v for w, v in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -145,26 +140,26 @@ class NcPoly:
         return bool(self.terms)
 
     def __repr__(self) -> str:
-        return f"NcPoly({str(self)})"
+        return f"{type(self).__name__}({str(self)})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in self.words():
-            c = self.terms[w]
-            mono = w if w else "1"
-            if c == 1:
-                s = mono
-            elif c == -1:
-                s = f"-{mono}"
-            else:
-                s = f"{format_rational(c)}{mono}" if w else format_rational(c)
-            parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((w, self.terms[w]) for w in self.words())
+
+
+def accumulate(acc: dict, terms: Mapping, c=1) -> dict:
+    """acc += c * terms, in place, dropping sums that cancel; returns acc.
+
+    acc must be a dict the caller owns: never the terms of a polynomial
+    that a cached function returned.
+    """
+    scaled = c != 1
+    for w, v in terms.items():
+        s = acc.get(w, 0) + (c * v if scaled else v)
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
+    return acc
 
 
 def format_rational(c: Fraction) -> str:
@@ -173,8 +168,29 @@ def format_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def parse_word(s: str) -> Word:
-    return check_word(s)
+def format_terms(terms: Iterable[tuple], sep: str = "") -> str:
+    """Print (symbol, coefficient) pairs as "a - b + 2c" in the given order.
+
+    A coefficient of +-1 prints as a bare sign, other coefficients are joined
+    to their symbol by sep, an empty symbol prints as the bare rational, and
+    zero coefficients are skipped; "0" when nothing is left.
+    """
+    out = ""
+    for sym, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        if not sym:
+            body = format_rational(mag)
+        elif mag == 1:
+            body = sym
+        else:
+            body = f"{format_rational(mag)}{sep}{sym}"
+        if out:
+            out += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
 
 
 def coeff(f: NcPoly, w: Word) -> Fraction:
@@ -216,12 +232,13 @@ def shuffle(u: Word, v: Word) -> NcPoly:
 
 
 def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
-    """Bilinear extension of the shuffle product."""
-    out = NcPoly.zero()
+    """Bilinear extension of the shuffle product, of the type of f."""
+    out: dict = {}
     for u, a in f.terms.items():
         for v, b in g.terms.items():
-            out = out + shuffle(u, v).scale(a * b)
-    return out
+            # the empty word is the unit, as for the scalar of a ZetaCombo
+            accumulate(out, shuffle(u, v).terms if u and v else {u + v: 1}, a * b)
+    return f._wrap(out)
 
 
 def _y_blocks(w: Word) -> tuple:
@@ -279,16 +296,12 @@ def concat(f: NcPoly, g: NcPoly) -> NcPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-    res = NcPoly.__new__(NcPoly)
-    res.terms = out
-    return res
+    return NcPoly._wrap(out)
 
 
 def pi_convergent(f: NcPoly) -> NcPoly:
     """Projection onto the convergent words of f."""
-    res = NcPoly.__new__(NcPoly)
-    res.terms = {w: c for w, c in f.terms.items() if is_convergent(w)}
-    return res
+    return NcPoly._wrap({w: c for w, c in f.terms.items() if is_convergent(w)})
 
 
 # -- word <-> composition dictionary -------------------------------------
@@ -313,13 +326,18 @@ def composition_of_word(w: Word) -> tuple:
     return _y_blocks(w)
 
 
-def format_composition(parts) -> str:
-    return "(" + ", ".join(str(p) for p in parts) + ")"
-
-
 def words_of_weight(n: int) -> list:
     """All 2^n words of weight n, in canonical order."""
     if n == 0:
         return [""]
     return ["".join("y" if (i >> b) & 1 else "x" for b in range(n - 1, -1, -1))
             for i in range(2 ** n)]
+
+
+def stuffle_pairs(n: int) -> list:
+    """All (u, v) of nonempty words ending in y with |u| + |v| = n, by
+    increasing |u|, with u <= v when |u| = |v|."""
+    ys = {m: [w for w in words_of_weight(m) if w.endswith("y")]
+          for m in range(1, n)}
+    return [(u, v) for a in range(1, n // 2 + 1)
+            for u in ys[a] for v in ys[n - a] if a < n - a or u <= v]

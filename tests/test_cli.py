@@ -119,3 +119,19 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("digits", ["-3", "10", "41", "45"])
+def test_check_digits_out_of_range_exit_2(capsys, digits):
+    code, out, err = run(capsys, "check", "--weight", "12", "--digits", digits)
+    assert code == 2
+    assert out == ""
+    assert "15" in err and "40" in err
+
+
+@pytest.mark.parametrize("start, stop", [("38", "44"), ("20", "12")])
+def test_report_bad_range_exit_2(capsys, start, stop):
+    code, out, err = run(capsys, "report", "--from", start, "--to", stop)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

@@ -184,3 +184,13 @@ def test_ds_solve_range_guard():
         ds_solve(2)
     with pytest.raises(ValueError):
         ds_solve(11)
+
+
+def test_cached_brackets_survive_solver():
+    # Accumulating sums must never write into a cached Lyndon bracket.
+    for n in range(3, 8):
+        ds_solve(n)
+    ws = [w for n in range(1, 8) for w in lyndon_words(n)]
+    cached = [lyndon_bracket(w) for w in ws]
+    lyndon_bracket.cache_clear()
+    assert cached == [lyndon_bracket(w) for w in ws]

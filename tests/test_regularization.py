@@ -156,3 +156,22 @@ def test_range_guards():
 def test_str():
     assert str(Z(2, 1) - Z(3)) == "-Z(3) + Z(2, 1)"
     assert str(ZetaCombo()) == "0"
+
+
+def test_str_unit_and_scalar():
+    assert str(ZetaCombo.unit() - Z(2).scale(3)) == "1 - 3 Z(2)"
+    assert (str(ZetaCombo(scalar=Fraction(-2, 3)) + Z(3, 1).scale(Fraction(1, 2)))
+            == "-2/3 + 1/2 Z(3, 1)")
+
+
+def test_cached_values_survive_accumulation():
+    # Accumulating sums must never write into a cached result.
+    weight_relations(6)
+    ys = [w for n in range(1, 7) for w in words_of_weight(n) if w.endswith("y")]
+    for w in ys:
+        star_regularize(w)
+    ws = [w for n in range(7) for w in words_of_weight(n)]
+    cached = [shuffle_regularize(w) for w in ws], star_units(6)
+    shuffle_regularize.cache_clear()
+    star_units.cache_clear()
+    assert cached == ([shuffle_regularize(w) for w in ws], star_units(6))

@@ -190,3 +190,7 @@ def test_printing():
     assert format_rational(Fraction(-5, 7)) == "-5/7"
     assert str(NcPoly({"xy": 1, "yx": -2})) == "xy - 2yx"
     assert str(NcPoly.zero()) == "0"
+
+
+def test_printing_unit_term():
+    assert str(NcPoly.one() - NcPoly.word("xy", 3)) == "1 - 3xy"
