@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import linalg, relations
-from .words import format_rational
+from .words import ConsistencyError, format_rational
 
 
 def _matrix_builders():
@@ -187,9 +187,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConsistencyError) else 2
 
 
 if __name__ == "__main__":

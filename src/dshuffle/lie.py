@@ -28,7 +28,7 @@ def ad_x_pow(n: int) -> NcPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return NcPoly({
-        "x" * (n - i) + "y" + "x" * i: Fraction((-1) ** i * math.comb(n, i))
+        "x" * (n - i) + "y" + "x" * i: (-1) ** i * math.comb(n, i)
         for i in range(n + 1)
     })
 
@@ -193,7 +193,7 @@ def ds_solve(n: int) -> list:
         st = stuffle(u, v)
         rows.append([pair(b, st) for b in basis])
     ker = kernel(Mat(rows)) if rows else [
-        [Fraction(i == j) for j in range(len(basis))] for i in range(len(basis))
+        [int(i == j) for j in range(len(basis))] for i in range(len(basis))
     ]
     out = []
     for vec in ker:

@@ -8,10 +8,10 @@ used by the period-polynomial / double-zeta correspondence:
     M       T^-1 A T, with its identity/zero block structure
     tADB    the symmetric product
 
-All elimination is exact Gauss-Jordan over Fractions with deterministic
-pivoting (first nonzero column, topmost nonzero row), so kernel bases are
-reproducible.  Kernel vectors are canonicalized to integer entries with
-content 1 and positive first nonzero entry.
+Entries stay ints unless a division (D, pivots, inverses) makes a Fraction.
+Elimination is exact Gauss-Jordan with deterministic pivoting (first nonzero
+column, topmost nonzero row), so kernel bases are reproducible.  Kernel
+vectors are canonicalized to int entries, content 1, first nonzero positive.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
-from .words import _fr, format_rational
-
-RatVector = List[Fraction]
+from .words import format_rational
 
 
 class Mat:
@@ -32,7 +30,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[_fr(c) for c in row] for row in rows]
+        self.rows = [list(row) for row in rows]
         if self.rows:
             ncols = len(self.rows[0])
             if any(len(r) != ncols for r in self.rows):
@@ -40,7 +38,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -71,8 +69,8 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
 
-    def mul_vec(self, v: Sequence) -> RatVector:
-        return [sum(a * _fr(b) for a, b in zip(row, v)) for row in self.rows]
+    def mul_vec(self, v: Sequence) -> list:
+        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
 
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (Mat, pivot column list)."""
@@ -104,7 +102,7 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        aug = Mat([row + Mat.identity(n).rows[i] for i, row in enumerate(self.rows)])
+        aug = Mat([row + e for row, e in zip(self.rows, Mat.identity(n).rows)])
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
@@ -131,16 +129,15 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
-def normalize_vector(v: Sequence) -> RatVector:
-    """Scale to integer entries, content 1, first nonzero entry positive."""
-    v = [_fr(c) for c in v]
+def normalize_vector(v: Sequence) -> list:
+    """Scale to int entries, content 1, first nonzero entry positive."""
     nonzero = [c for c in v if c]
     if not nonzero:
-        return v
+        return [0] * len(v)
     den = math.lcm(*(c.denominator for c in nonzero))
     ints = [c * den for c in v]
     g = math.gcd(*(int(c) for c in ints if c))
-    ints = [c / g for c in ints]
+    ints = [c // g for c in ints]
     first = next(c for c in ints if c)
     if first < 0:
         ints = [-c for c in ints]
@@ -154,8 +151,8 @@ def kernel(M: Mat) -> list:
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
+        v = [0] * nc
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red.rows[r][fc]
         basis.append(normalize_vector(v))
@@ -210,8 +207,7 @@ def build_A_symbolic(k: int) -> Mat:
 def build_S(k: int) -> Mat:
     """The involution with -1's along the antidiagonal."""
     n = _check_weight(k)
-    return Mat([[Fraction(-1) if i + j == n - 1 else Fraction(0)
-                 for j in range(n)] for i in range(n)])
+    return Mat([[-1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
 
 
 def build_T(k: int) -> Mat:
@@ -221,18 +217,18 @@ def build_T(k: int) -> Mat:
     m = (k - 4) // 4
     cols = []
     for j in range(1, m + 1):
-        v = [Fraction(0)] * n
-        v[j - 1] = Fraction(1)
-        v[n - j] = Fraction(1)
+        v = [0] * n
+        v[j - 1] = 1
+        v[n - j] = 1
         cols.append(v)
     if k % 4 == 2:
-        w0 = [Fraction(0)] * n
-        w0[(k - 6) // 4] = Fraction(1)
+        w0 = [0] * n
+        w0[(k - 6) // 4] = 1
         cols.append(w0)
     for j in range(1, m + 1):
-        w = [Fraction(0)] * n
-        w[j - 1] = Fraction(-1)
-        w[n - j] = Fraction(1)
+        w = [0] * n
+        w[j - 1] = -1
+        w[n - j] = 1
         cols.append(w)
     return Mat(cols).transpose()
 
@@ -240,7 +236,7 @@ def build_T(k: int) -> Mat:
 def build_D(k: int) -> Mat:
     """Diagonal matrix with D^-1 = diag(C(k-2, 2i))."""
     n = _check_weight(k)
-    return Mat([[Fraction(1, math.comb(k - 2, 2 * i)) if i == j else Fraction(0)
+    return Mat([[Fraction(1, math.comb(k - 2, 2 * i)) if i == j else 0
                  for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
@@ -268,7 +264,7 @@ def block_check(M: Mat, k: int) -> bool:
         top, left = (k - 2) // 4, (k - 2) // 4
     for i in range(top):
         for j in range(n):
-            expected = Fraction(1 if i == j else 0) if j < left else Fraction(0)
+            expected = 1 if i == j and j < left else 0
             if M.rows[i][j] != expected:
                 return False
     return True

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .linalg import Mat, RatVector, kernel, normalize_vector
-from .words import format_terms
+from .linalg import Mat, kernel
+from .words import ConsistencyError, format_terms
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,6 @@ class PeriodPoly:
         n = (self.k - 4) // 2
         if len(self.coeffs) != n:
             raise ValueError(f"expected {n} coefficients for weight {self.k}")
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
 
     def is_antisymmetric(self) -> bool:
         """p_2i = -p_(k-2-2i) for all i."""
@@ -59,7 +57,7 @@ def ek_dim_formula(k: int) -> int:
     return (k - 4) // 4 - (k - 2) // 6
 
 
-def _binomial_row_add(row: list, c: Fraction, shift: int, power: int, sign_base: int):
+def _binomial_row_add(row: list, c, shift: int, power: int, sign_base: int):
     # accumulate c * (X + sign_base)^power * X^shift into coefficient row
     for t in range(power + 1):
         row[shift + t] += c * math.comb(power, t) * (sign_base ** (power - t))
@@ -77,7 +75,7 @@ def ek_basis(k: int) -> List[PeriodPoly]:
     rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0
     for i in range(1, n + 1):
-        row = [Fraction(0)] * n
+        row = [0] * n
         row[i - 1] += 1
         row[n - i] += 1
         rows.append(row)
@@ -85,15 +83,16 @@ def ek_basis(k: int) -> List[PeriodPoly]:
     #   sum_i p_2i [ X^2i + (X-1)^2i X^(k-2-2i) + (X-1)^(k-2-2i) ] = 0
     cols = []
     for i in range(1, n + 1):
-        col = [Fraction(0)] * (deg + 1)
+        col = [0] * (deg + 1)
         col[2 * i] += 1
-        _binomial_row_add(col, Fraction(1), k - 2 - 2 * i, 2 * i, -1)
-        _binomial_row_add(col, Fraction(1), 0, k - 2 - 2 * i, -1)
+        _binomial_row_add(col, 1, k - 2 - 2 * i, 2 * i, -1)
+        _binomial_row_add(col, 1, 0, k - 2 - 2 * i, -1)
         cols.append(col)
     for d in range(deg + 1):
         rows.append([cols[j][d] for j in range(n)])
     basis = kernel(Mat(rows))
-    assert len(basis) == ek_dim_formula(k)
+    if len(basis) != ek_dim_formula(k):
+        raise ConsistencyError(f"dim E_{k} = {len(basis)} disagrees with the formula")
     return [PeriodPoly(k, tuple(v)) for v in basis]
 
 
@@ -103,7 +102,7 @@ def check_functional_equations(P: PeriodPoly) -> bool:
     if not P.is_antisymmetric():
         return False
     deg = P.k - 2
-    residual = [Fraction(0)] * (deg + 1)
+    residual = [0] * (deg + 1)
     for i in range(1, n + 1):
         c = P.coeffs[i - 1]
         if not c:
@@ -114,7 +113,7 @@ def check_functional_equations(P: PeriodPoly) -> bool:
     return not any(residual)
 
 
-def a_vector(P: PeriodPoly) -> RatVector:
+def a_vector(P: PeriodPoly) -> list:
     """Dictionary to bracket-relation coefficients: a_i = p_2i."""
     if not P.is_antisymmetric():
         raise ValueError("polynomial violates the antisymmetry constraint")

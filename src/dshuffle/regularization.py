@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Mapping
 
-from .words import (NcPoly, Word, _fr, accumulate, check_word,
+from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
                     composition_of_word, format_terms, is_convergent,
                     pi_convergent, shuffle, shuffle_poly, stuffle,
                     stuffle_pairs, words_of_weight)
@@ -30,16 +31,16 @@ class ZetaCombo(NcPoly):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None, scalar=0):
+    def __init__(self, terms: Mapping[Word, Rational] | None = None, scalar=0):
         super().__init__(terms)
         bad = [w for w in self.terms if w and not is_convergent(w)]
         if bad:
             raise ValueError(f"non-convergent symbol: {bad[0]!r}")
         if scalar:
-            accumulate(self.terms, {"": _fr(scalar)})
+            accumulate(self.terms, {"": scalar})
 
     @property
-    def scalar(self) -> Fraction:
+    def scalar(self) -> Rational:
         return self.coeff("")
 
     @classmethod
@@ -48,7 +49,7 @@ class ZetaCombo(NcPoly):
 
     @classmethod
     def symbol(cls, w: Word) -> "ZetaCombo":
-        return cls({w: Fraction(1)})
+        return cls({w: 1})
 
     def __mul__(self, other: "ZetaCombo") -> "ZetaCombo":
         """Shuffle multiplication Z(u) Z(v) = Z(u sh v)."""
@@ -106,7 +107,7 @@ def star_units(N: int) -> tuple:
         sign = Fraction(1 if (r - 1) % 2 == 0 else -1, r)
         expo[r] = shuffle_regularize("x" * (r - 1) + "y").scale(sign)
     result = [{} for _ in range(N + 1)]
-    result[0][""] = Fraction(1)
+    result[0][""] = 1
     power = [ZetaCombo.unit()] + [ZetaCombo()] * N  # running expo^m / m!
     m = 1
     while 2 * m <= N:
@@ -174,7 +175,7 @@ def fz_quotient_dim(n: int) -> tuple:
     rows = []
     for rel in weight_relations(n):
         if rel.scalar:
-            raise AssertionError("weight-homogeneous relation grew a scalar part")
+            raise ConsistencyError("weight-homogeneous relation grew a scalar part")
         rows.append([rel.coeff(w) for w in symbols])
     if not rows:
         return len(symbols), []
@@ -196,8 +197,8 @@ def sh_basis_dim(n: int) -> int:
     for w in all_words:
         if is_convergent(w):
             continue
-        row = [Fraction(0)] * len(all_words)
-        row[index[w]] = Fraction(1)
+        row = [0] * len(all_words)
+        row[index[w]] = 1
         for t, c in shuffle_regularize(w).terms.items():
             row[index[t]] -= c
         rows.append(row)

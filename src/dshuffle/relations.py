@@ -16,7 +16,7 @@ from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D,
                      conjugate_M, block_check, kernel, normalize_vector,
                      same_span, symmetry_product)
 from .periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
-from .words import format_rational, format_terms
+from .words import ConsistencyError, format_rational, format_terms
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ def gkz_relations(k: int) -> List[Relation]:
             q = [-c for c in q]
         q = [2 * c for c in q]
         if any(tA.mul_vec(q)):
-            raise AssertionError("q-vector fell outside Ker tA")
+            raise ConsistencyError("q-vector fell outside Ker tA")
         vecs.append(q)
         pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]
         terms = tuple(((r, s), c) for (r, s), c in
                       sorted(zip(pairs, q), key=lambda t: -t[0][0]))
         out.append(Relation(weight=k, kind="double_zeta", terms=terms))
     if not same_span(vecs, ker_t):
-        raise AssertionError("emitted relations do not span Ker tA")
+        raise ConsistencyError("emitted relations do not span Ker tA")
     return out
 
 

@@ -3,14 +3,15 @@
 Words are plain Python strings over the alphabet "xy" (the empty string is
 the empty word).  Canonical ordering is by length, then lexicographic with
 x < y, which is exactly the default string order once lengths agree.
-Polynomials are immutable sparse maps from words to nonzero Fractions.
+Polynomials are immutable sparse maps from words to nonzero rationals: an
+int stays an int, and a Fraction appears only where a division happened.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
 ALPHABET = "xy"
@@ -42,8 +43,8 @@ def word_key(w: Word) -> tuple:
     return (len(w), w)
 
 
-def _fr(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+class ConsistencyError(Exception):
+    """An identity the construction guarantees failed: a defect, not bad input."""
 
 
 class NcPoly:
@@ -51,11 +52,10 @@ class NcPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Word, Rational] | None = None):
         clean = {}
         if terms:
             for w, c in terms.items():
-                c = _fr(c)
                 if c:
                     clean[check_word(w)] = c
         self.terms: dict = clean
@@ -68,16 +68,16 @@ class NcPoly:
 
     @classmethod
     def one(cls) -> "NcPoly":
-        return cls({"": Fraction(1)})
+        return cls({"": 1})
 
     @classmethod
     def word(cls, w: Word, c=1) -> "NcPoly":
-        return cls({w: _fr(c)})
+        return cls({w: c})
 
     # -- queries ------------------------------------------------------
 
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(w, Fraction(0))
+    def coeff(self, w: Word) -> Rational:
+        return self.terms.get(w, 0)
 
     def words(self) -> Iterator[Word]:
         return iter(sorted(self.terms, key=word_key))
@@ -115,6 +115,8 @@ class NcPoly:
         return res
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
+        if type(other) is not type(self):
+            return NotImplemented
         return self._wrap(accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
@@ -124,7 +126,8 @@ class NcPoly:
         return self._wrap({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NcPoly":
-        c = _fr(c)
+        if not isinstance(c, Rational):
+            raise TypeError(f"not a rational scalar: {c!r}")
         return self._wrap({} if not c else {w: c * v for w, v in self.terms.items()})
 
     __mul__ = scale
@@ -162,9 +165,8 @@ def accumulate(acc: dict, terms: Mapping, c=1) -> dict:
     return acc
 
 
-def format_rational(c: Fraction) -> str:
+def format_rational(c: Rational) -> str:
     """Print a rational as "p/q", or "p" when the denominator is 1."""
-    c = _fr(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -193,14 +195,14 @@ def format_terms(terms: Iterable[tuple], sep: str = "") -> str:
     return out or "0"
 
 
-def coeff(f: NcPoly, w: Word) -> Fraction:
+def coeff(f: NcPoly, w: Word) -> Rational:
     """The pairing (f | w)."""
     return f.coeff(w)
 
 
-def pair(f: NcPoly, g: NcPoly) -> Fraction:
+def pair(f: NcPoly, g: NcPoly) -> Rational:
     """(f | g) extended linearly in g: sum of g_w * (f | w)."""
-    total = Fraction(0)
+    total = 0
     for w, c in g.terms.items():
         total += c * f.terms.get(w, 0)
     return total
@@ -228,7 +230,7 @@ def _shuffle_words(u: Word, v: Word) -> tuple:
 def shuffle(u: Word, v: Word) -> NcPoly:
     """Shuffle product of two words."""
     check_word(u), check_word(v)
-    return NcPoly({w: Fraction(c) for w, c in _shuffle_words(u, v)})
+    return NcPoly._wrap(dict(_shuffle_words(u, v)))
 
 
 def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
@@ -282,7 +284,7 @@ def _stuffle_blocks(u: tuple, v: tuple) -> tuple:
 def stuffle(u: Word, v: Word) -> NcPoly:
     """Stuffle product of two nonempty words ending in y."""
     bu, bv = _y_blocks(u), _y_blocks(v)
-    return NcPoly({_blocks_word(b): Fraction(c) for b, c in _stuffle_blocks(bu, bv)})
+    return NcPoly._wrap({_blocks_word(b): c for b, c in _stuffle_blocks(bu, bv)})
 
 
 def concat(f: NcPoly, g: NcPoly) -> NcPoly:

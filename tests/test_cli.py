@@ -1,8 +1,11 @@
+import importlib
 import json
 
 import pytest
 
 from dshuffle.cli import main
+from dshuffle.regularization import ZetaCombo
+from dshuffle.words import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -135,3 +138,18 @@ def test_report_bad_range_exit_2(capsys, start, stop):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("module, name, fake, argv", [
+    ("relations", "same_span", lambda vs, ws: False, ["relations", "--weight", "12"]),
+    ("periodpoly", "ek_dim_formula", lambda k: -1, ["period-basis", "--weight", "12"]),
+    ("regularization", "weight_relations", lambda n: [ZetaCombo.unit()],
+     ["fz-dim", "--weight", "4"]),
+])
+def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, argv):
+    monkeypatch.setattr(importlib.import_module(f"dshuffle.{module}"), name, fake)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not issubclass(ConsistencyError, ValueError)

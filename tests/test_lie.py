@@ -194,3 +194,7 @@ def test_cached_brackets_survive_solver():
     cached = [lyndon_bracket(w) for w in ws]
     lyndon_bracket.cache_clear()
     assert cached == [lyndon_bracket(w) for w in ws]
+
+
+def test_lie_basis_has_int_coefficients():
+    assert all(type(c) is int for b in lie_basis(5) for c in b.terms.values())

@@ -172,3 +172,9 @@ def test_serialization():
     assert M.to_csv() == "1,-1/2\n0,3"
     assert M.to_json() == '[["1", "-1/2"], ["0", "3"]]'
     assert str(M).splitlines()[0].startswith("[")
+
+
+def test_integral_matrices_and_kernels_hold_ints():
+    for M in (build_A(12), build_B(12), build_T(14)):
+        assert all(type(c) is int for row in M.rows for c in row)
+    assert all(type(c) is int for c in kernel(build_A(12))[0])

@@ -86,3 +86,7 @@ def test_q_equals_DB_a_sweep():
 
 def test_str_zero():
     assert str(PeriodPoly(12, (0, 0, 0, 0))) == "0"
+
+
+def test_basis_coefficients_are_ints():
+    assert all(type(c) is int for c in ek_basis(12)[0].coeffs)

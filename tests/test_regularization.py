@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,12 @@ def test_cached_values_survive_accumulation():
     shuffle_regularize.cache_clear()
     star_units.cache_clear()
     assert cached == ([shuffle_regularize(w) for w in ws], star_units(6))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_mixed_ncpoly_and_zetacombo_arithmetic_raises(op):
+    z, p = ZetaCombo.symbol("xy"), NcPoly.word("yx")
+    with pytest.raises(TypeError):
+        op(z, p)
+    with pytest.raises(TypeError):
+        op(p, z)

@@ -194,3 +194,26 @@ def test_printing():
 
 def test_printing_unit_term():
     assert str(NcPoly.one() - NcPoly.word("xy", 3)) == "1 - 3xy"
+
+
+def test_shuffle_and_stuffle_have_int_coefficients():
+    for p in (shuffle("xy", "y"), stuffle("y", "xy")):
+        assert all(type(c) is int for c in p.terms.values())
+
+
+@given(st.dictionaries(words(max_size=5), st.integers(min_value=-9, max_value=9),
+                       max_size=4))
+def test_int_and_fraction_coefficients_agree(terms):
+    f = NcPoly(terms)
+    g = NcPoly({w: Fraction(c) for w, c in terms.items()})
+    assert f == g
+    assert hash(f) == hash(g)
+    assert str(f) == str(g)
+
+
+def test_scale_rejects_non_rational():
+    f = NcPoly.word("xy")
+    with pytest.raises(TypeError):
+        f * NcPoly.word("y")
+    with pytest.raises(TypeError):
+        f.scale(0.5)
