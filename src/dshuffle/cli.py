@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ConsistencyError) as exc:
+    except (ValueError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConsistencyError) else 2
 

@@ -192,11 +192,8 @@ def ds_solve(n: int) -> list:
     for u, v in admissible_stuffle_pairs(n):
         st = stuffle(u, v)
         rows.append([pair(b, st) for b in basis])
-    ker = kernel(Mat(rows)) if rows else [
-        [int(i == j) for j in range(len(basis))] for i in range(len(basis))
-    ]
     out = []
-    for vec in ker:
+    for vec in kernel(Mat(rows)):
         terms: dict = {}
         for c, b in zip(vec, basis):
             accumulate(terms, b.terms, c)

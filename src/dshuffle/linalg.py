@@ -48,10 +48,6 @@ class Mat:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows
 
@@ -61,10 +57,6 @@ class Mat:
         ot = other.transpose().rows
         return Mat([[sum(a * b for a, b in zip(row, col)) for col in ot]
                     for row in self.rows])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)])
 
     def transpose(self) -> "Mat":
         return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
@@ -173,9 +165,9 @@ def same_span(vs: list, ws: list) -> bool:
 # -- correspondence-specific constructions ---------------------------------
 
 
-def _check_weight(k: int, minimum: int = 12) -> int:
-    if k % 2 or k < minimum:
-        raise ValueError(f"weight must be even and >= {minimum}, got {k}")
+def _check_weight(k: int) -> int:
+    if k % 2 or k < 12:
+        raise ValueError(f"weight must be even and >= 12, got {k}")
     return (k - 4) // 2
 
 

@@ -2,8 +2,10 @@
 
 Z(w) symbols for convergent words span the regularized shuffle algebra;
 non-convergent words are rewritten onto convergent ones by the double-sum
-shuffle regularization, and words ending in y additionally get star values
-Z*(w) built from the exponential generating series of Z*(1, ..., 1).
+shuffle regularization, an algebra map that sends the empty word to the unit
+Z(empty) = 1.  Words ending in y additionally get star values Z*(w), mixed
+from Z and the star units Z*(1, ..., 1), which Newton's identity reads off
+their exponential generating series.
 Setting the regularized stuffle products Z*(u) Z*(v) - Z*(u * v) to zero
 yields the linear relations defining the small-weight formal zeta quotient.
 """
@@ -53,6 +55,8 @@ class ZetaCombo(NcPoly):
 
     def __mul__(self, other: "ZetaCombo") -> "ZetaCombo":
         """Shuffle multiplication Z(u) Z(v) = Z(u sh v)."""
+        if type(other) is not type(self):
+            return NotImplemented
         return shuffle_poly(self, other)
 
     def __str__(self) -> str:
@@ -74,8 +78,9 @@ def decompose(w: Word) -> tuple:
 @lru_cache(maxsize=None)
 def shuffle_regularize(w: Word) -> ZetaCombo:
     """Express Z(w) on convergent words via the double-sum shuffle
-    regularization; the identity on already-convergent words."""
-    if is_convergent(w):
+    regularization; the identity on already-convergent words, and the unit
+    on the empty word, as regularization is an algebra map: Z(empty) = 1."""
+    if is_convergent(w) or not w:
         return ZetaCombo.symbol(w)
     r, v, s = decompose(w)
     out: dict = {}
@@ -97,51 +102,35 @@ def regularize_poly(f) -> ZetaCombo:
 
 @lru_cache(maxsize=None)
 def star_units(N: int) -> tuple:
-    """Z*(1, ..., 1) with r ones for r = 0 .. N, as the y^r coefficients of
-    exp( sum_{r>=1} ((-1)^(r-1)/r) Z(x^(r-1) y) y^r )."""
+    """Z*(1, ..., 1) with r ones for r = 0 .. N: the y^r coefficients E_r of
+    exp( sum_{r>=2} ((-1)^(r-1)/r) Z(r) y^r ), by Newton's identity
+    r E_r = sum_{i=2..r} (-1)^(i-1) Z(i) E_(r-i) from E_0 = 1."""
     if N > 12:
         raise ValueError("star units are truncated at weight 12")
-    # exponent coefficients by y-power; Z(y) = 0 kills the r = 1 term
-    expo = [ZetaCombo() for _ in range(N + 1)]
-    for r in range(2, N + 1):
-        sign = Fraction(1 if (r - 1) % 2 == 0 else -1, r)
-        expo[r] = shuffle_regularize("x" * (r - 1) + "y").scale(sign)
-    result = [{} for _ in range(N + 1)]
-    result[0][""] = 1
-    power = [ZetaCombo.unit()] + [ZetaCombo()] * N  # running expo^m / m!
-    m = 1
-    while 2 * m <= N:
-        nxt = [{} for _ in range(N + 1)]
-        for i, p in enumerate(power):
-            if not p:
-                continue
-            for j in range(2, N + 1 - i):
-                if expo[j]:
-                    accumulate(nxt[i + j], (p * expo[j]).terms, Fraction(1, m))
-        power = [ZetaCombo._wrap(t) for t in nxt]
-        for acc, p in zip(result, power):
-            accumulate(acc, p.terms)
-        m += 1
-    return tuple(ZetaCombo._wrap(t) for t in result)
+    units = [ZetaCombo.unit()]
+    for r in range(1, N + 1):
+        out: dict = {}
+        for i in range(2, r + 1):
+            term = ZetaCombo.symbol("x" * (i - 1) + "y") * units[r - i]
+            accumulate(out, term.terms, Fraction((-1) ** (i - 1), r))
+        units.append(ZetaCombo._wrap(out))
+    return tuple(units)
 
 
 def star_regularize(w: Word) -> ZetaCombo:
-    """Z*(w) for a word ending in y: identity on convergent words,
-    the star unit on pure y-powers, and the mixing sum
-    Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise."""
+    """Z*(w) for a word ending in y: identity on convergent words, and the
+    mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise; since
+    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit."""
     check_word(w)
     if not w or w[-1] != "y":
         raise ValueError(f"star regularization needs a word ending in y: {w!r}")
     if is_convergent(w):
         return ZetaCombo.symbol(w)
     m = len(w) - len(w.lstrip("y"))
-    v = w[m:]
     units = star_units(len(w))
-    if not v:
-        return units[m]
     out: dict = {}
     for r in range(m + 1):
-        accumulate(out, (units[r] * shuffle_regularize("y" * (m - r) + v)).terms)
+        accumulate(out, (units[r] * shuffle_regularize(w[r:])).terms)
     return ZetaCombo._wrap(out)
 
 

@@ -158,6 +158,8 @@ def correspondence_report(k: int) -> CorrespondenceReport:
     dims_agree = len(basis) == len(ker_A) == len(ker_tA) == dim_formula
     if not dims_agree:
         failures.append("dimension mismatch")
+    if ker_A != [a_vector(P) for P in basis]:
+        failures.append("Ker A != a(E_k)")
 
     symbolic_agrees: Optional[bool] = None
     if k <= 30:

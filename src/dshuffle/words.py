@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping
 ALPHABET = "xy"
 
 Word = str
-Composition = tuple
 
 
 def check_word(w: str) -> str:

@@ -1,7 +1,11 @@
+import contextlib
 import importlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshuffle.cli import main
 from dshuffle.regularization import ZetaCombo
@@ -106,6 +110,12 @@ def test_regularize_star(capsys):
     assert out.strip() == "-1/2 Z(2)"
 
 
+def test_regularize_empty_word_is_one(capsys):
+    code, out, _ = run(capsys, "regularize", "--word", "")
+    assert code == 0
+    assert out == "1\n"
+
+
 def test_fz_dim(capsys):
     code, out, _ = run(capsys, "fz-dim", "--weight", "4")
     assert code == 0
@@ -153,3 +163,54 @@ def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, arg
     assert out == ""
     assert err.startswith("error: ")
     assert not issubclass(ConsistencyError, ValueError)
+
+
+def cheap_argvs():
+    """Command lines of every subcommand that run in well under a second,
+    valid or not: no ds-solve 9/10, no fz-dim 8, no numeric check, and no
+    large weight for the matrix builders that have no upper cap."""
+    def ints(lo, hi):
+        return st.sampled_from(range(lo, hi + 1))   # uniform, unlike st.integers
+
+    def matrix(m, k, f):
+        return ["matrix", "--which", m, "--weight", str(k), "--format", f]
+
+    def check(k, d):
+        return ["check", "--weight", str(k), "--digits", str(d)]
+
+    weights = ints(-2, 64)
+    fmt = st.sampled_from(["text", "json", "csv"])
+    # weights with no double zeta relation, or rejected before any numeric work
+    no_numeric_work = st.sampled_from([k for k in range(-2, 65)
+                                       if k < 12 or k % 2 or k == 14])
+    return st.one_of(
+        st.builds(lambda k, kind, f: ["relations", "--weight", str(k), "--kind", kind,
+                                      "--format", f],
+                  weights, st.sampled_from(["bracket", "zeta", "all"]), fmt),
+        st.builds(lambda k: ["period-basis", "--weight", str(k)], weights),
+        st.builds(matrix, st.sampled_from("ABDST"), weights, fmt),
+        st.builds(matrix, st.sampled_from(["M", "tADB", "Asym"]), ints(-2, 44), fmt),
+        st.builds(check, weights, ints(-5, 14) | ints(41, 60)),
+        st.builds(check, no_numeric_work, ints(15, 40)),
+        st.builds(lambda a, d: ["report", "--from", str(a), "--to", str(a + d)],
+                  weights, ints(-4, 6)),
+        st.builds(lambda n: ["ds-solve", "--weight", str(n)], ints(-2, 8) | ints(11, 64)),
+        st.builds(lambda n: ["fz-dim", "--weight", str(n)], ints(-2, 7) | ints(9, 64)),
+        st.builds(lambda w, star: ["regularize", "--word", w] + star,
+                  st.text(alphabet="xy", max_size=8) | st.sampled_from(["z", "xyz", "1", " "]),
+                  st.sampled_from([[], ["--star"]])),
+    )
+
+
+@given(argv=cheap_argvs())
+@settings(max_examples=250, deadline=None)
+def test_exit_code_contract(argv):
+    # Valid input exits 0 and bad input exits 2 before any output; exit 1
+    # (a failed check or a broken invariant) and escaping exceptions are
+    # defects.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""

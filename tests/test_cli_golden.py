@@ -41,7 +41,8 @@ def commands() -> dict:
         "fz-dim": [["fz-dim", "--weight", str(n)] for n in range(2, 8)],
         "regularize": [["regularize", "--word", w] + star
                        for n in range(7) for w in words_of_weight(n)
-                       for star in ([], ["--star"])],
+                       for star in ([], ["--star"])]
+                      + [["regularize", "--word", "y" * m, "--star"] for m in range(7, 13)],
     }
 
 
@@ -66,6 +67,10 @@ def test_cli_output_matches_golden_digests(group):
 if __name__ == "__main__":
     recorded = {shlex.join(a): digest(a)
                 for group in commands().values() for a in group}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for cmd in sorted(recorded):
+        if old.get(cmd) != recorded[cmd]:
+            print(f"{'changed' if cmd in old else 'new'}: {cmd}")
     lines = [f"{json.dumps(cmd)}: {json.dumps(d)}" for cmd, d in sorted(recorded.items())]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"recorded {len(recorded)} digests in {GOLDEN}")

@@ -47,6 +47,12 @@ def test_regularize_letters_vanish():
     assert shuffle_regularize("y").is_zero()
 
 
+def test_regularize_empty_word_is_unit():
+    # regularization is an algebra map, so Z(empty) = 1
+    assert shuffle_regularize("") == ZetaCombo.unit()
+    assert regularize_poly(NcPoly.one()) == ZetaCombo.unit()
+
+
 def test_regularize_convergent_identity():
     for n in range(2, 7):
         for w in words_of_weight(n):
@@ -178,7 +184,7 @@ def test_cached_values_survive_accumulation():
     assert cached == ([shuffle_regularize(w) for w in ws], star_units(6))
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_mixed_ncpoly_and_zetacombo_arithmetic_raises(op):
     z, p = ZetaCombo.symbol("xy"), NcPoly.word("yx")
     with pytest.raises(TypeError):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from dshuffle import relations
 from dshuffle.linalg import build_A, kernel, same_span
+from dshuffle.periodpoly import PeriodPoly
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, ihara_relations)
 
@@ -114,6 +116,15 @@ def test_report_weight12_all_ok():
     assert rep.q_equals_DBa
     assert rep.ker_A == [[1, -3, 3, -1]]
     assert rep.failures == []
+
+
+def test_report_checks_ker_A_is_a_of_basis(monkeypatch):
+    # right dimension, wrong space: caught only by comparing the vectors
+    monkeypatch.setattr(relations, "ek_basis", lambda k: [PeriodPoly(12, (1, 0, 0, -1))])
+    rep = correspondence_report(12)
+    assert rep.dims_agree
+    assert not rep.all_ok
+    assert "Ker A != a(E_k)" in rep.failures
 
 
 def test_report_weight14_zero_dimensional():
