@@ -71,8 +71,10 @@ def _cmd_check(args) -> int:
     from .numzeta import verify_relation
     import mpmath as mp
 
-    # Below 15 digits the residual threshold 10^-(digits-10) proves little;
-    # above 40 the confirming pass at digits + 10 exceeds zeta_double's 50.
+    # A relation passes when it holds to the requested digits.  Below 15
+    # digits the scalar is not pinned (two fractions with denominators up to
+    # DENOMINATOR_BOUND = 10^6 can be 10^-12 apart); above 40 the confirming
+    # pass at digits + 10 exceeds zeta_double's 50.
     if not 15 <= args.digits <= 40:
         raise ValueError(f"--digits must be in 15..40, got {args.digits}")
     ok = True
@@ -80,7 +82,7 @@ def _cmd_check(args) -> int:
     if not rels:
         print(f"weight {args.weight}: no double zeta relations (dimension 0)")
         return 0
-    threshold = mp.mpf(10) ** (-(args.digits - 10))
+    threshold = mp.mpf(10) ** -args.digits
     for rel in rels:
         residual, scalar = verify_relation(rel, args.digits)
         if scalar is None:

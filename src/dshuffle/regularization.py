@@ -127,7 +127,7 @@ def star_regularize(w: Word) -> ZetaCombo:
     if is_convergent(w):
         return ZetaCombo.symbol(w)
     m = len(w) - len(w.lstrip("y"))
-    units = star_units(len(w))
+    units = star_units(m)
     out: dict = {}
     for r in range(m + 1):
         accumulate(out, (units[r] * shuffle_regularize(w[r:])).terms)

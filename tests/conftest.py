@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath as mp
 from hypothesis import strategies as st
 
 from dshuffle.words import NcPoly
@@ -53,3 +54,35 @@ def rref_rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def nsum_zeta_double(r, s, digits):
+    """zeta(r, s) summed as sum_m H_(m-1)^(s) / m^r: an exact prefix plus a
+    Richardson-accelerated tail whose terms come from the Hurwitz zeta
+    function; the s = 1 column splits off the logarithmic part of the
+    harmonic numbers through zeta'(r).  Independent of the package's
+    Hölder convolution, and about 1 s per value."""
+    if r < 2:
+        raise ValueError("zeta(r, s) requires r >= 2")
+    if s < 1:
+        raise ValueError("zeta(r, s) requires s >= 1")
+    if digits > 50:
+        raise ValueError("digits <= 50")
+    with mp.workdps(digits + 15):
+        if s == 1:
+            # H_(m-1) = ln m + euler - d_m with d_m smooth in 1/m;
+            # sum m^-r ln m = -zeta'(r), sum m^-r = zeta(r)
+            g = mp.euler
+            main = -mp.zeta(r, derivative=1) + g * mp.zeta(r)
+
+            def dterm(m):
+                return (mp.ln(m) + g - mp.harmonic(m - 1)) / mp.mpf(m) ** r
+
+            return +(main - mp.nsum(dterm, [1, mp.inf]))
+        zs = mp.zeta(s)
+
+        def term(m):
+            # H_(m-1)^(s) = zeta(s) - zeta(s, m)
+            return (zs - mp.zeta(s, m)) / mp.mpf(m) ** r
+
+        return +mp.nsum(term, [2, mp.inf])

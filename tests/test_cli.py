@@ -3,10 +3,12 @@ import importlib
 import io
 import json
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dshuffle import numzeta
 from dshuffle.cli import main
 from dshuffle.regularization import ZetaCombo
 from dshuffle.words import ConsistencyError
@@ -78,6 +80,27 @@ def test_check_weight12(capsys):
     assert out.startswith("ok ")
 
 
+@pytest.mark.parametrize("weight, scalar", [
+    (18, "125643662/43867"), (20, "111230333/174611"),
+    (22, "1265143726/77683"), (26, "965024376420/657931"),
+])
+def test_check_high_weights(capsys, weight, scalar):
+    code, out, _ = run(capsys, "check", "--weight", str(weight), "--digits", "30")
+    assert code == 0
+    assert out.startswith("ok ")
+    assert f"scalar = {scalar}  " in out
+
+
+def test_check_fails_below_requested_digits(capsys, monkeypatch):
+    # values off by 10^-25 must not pass a 30-digit check
+    exact = numzeta.zeta_double
+    monkeypatch.setattr(numzeta, "zeta_double",
+                        lambda r, s, digits: exact(r, s, digits) + mp.mpf(10) ** -25)
+    code, out, _ = run(capsys, "check", "--weight", "12", "--digits", "30")
+    assert code == 1
+    assert out.startswith("FAIL ")
+
+
 def test_check_weight14_vacuous(capsys):
     code, out, _ = run(capsys, "check", "--weight", "14")
     assert code == 0
@@ -140,6 +163,13 @@ def test_check_digits_out_of_range_exit_2(capsys, digits):
     assert code == 2
     assert out == ""
     assert "15" in err and "40" in err
+
+
+def test_star_regularize_y13_exit_2(capsys):
+    code, out, err = run(capsys, "regularize", "--word", "y" * 13, "--star")
+    assert code == 2
+    assert out == ""
+    assert "star units are truncated at weight 12" in err
 
 
 @pytest.mark.parametrize("start, stop", [("38", "44"), ("20", "12")])

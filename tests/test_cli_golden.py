@@ -42,7 +42,8 @@ def commands() -> dict:
         "regularize": [["regularize", "--word", w] + star
                        for n in range(7) for w in words_of_weight(n)
                        for star in ([], ["--star"])]
-                      + [["regularize", "--word", "y" * m, "--star"] for m in range(7, 13)],
+                      + [["regularize", "--word", "y" * m, "--star"] for m in range(7, 13)]
+                      + [["regularize", "--word", "y" + "x" * 11 + "y", "--star"]],
     }
 
 

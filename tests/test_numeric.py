@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from conftest import nsum_zeta_double
 from dshuffle.numzeta import (reconstruct_rational, verify_relation,
                               zeta_double, zeta_single)
 from dshuffle.relations import Relation, gkz_relations, ihara_relations
@@ -56,6 +57,28 @@ def test_zeta_double_guards():
         zeta_double(2, 0, 30)
     with pytest.raises(ValueError):
         zeta_double(2, 1, 51)
+
+
+# The terms of the weight-12 and weight-16 double zeta relations, and the
+# s = 1 column, which the oracle sums through zeta'(r).
+ORACLE_PAIRS = [(9, 3), (7, 5), (5, 7), (13, 3), (11, 5), (9, 7), (7, 9), (5, 11),
+                (2, 1), (3, 1)]
+
+
+@pytest.mark.parametrize("r, s, digits",
+                         [(r, s, 30) for r, s in ORACLE_PAIRS] + [(9, 3, 50)])
+def test_zeta_double_matches_nsum_oracle(r, s, digits):
+    with mp.workdps(digits + 15):
+        error = abs(zeta_double(r, s, digits) - nsum_zeta_double(r, s, digits))
+        assert error < mp.mpf(10) ** -(digits + 5)
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_zeta_double_sum_formula(k):
+    # sum_{r=2..k-1} zeta(r, k-r) = zeta(k)
+    with mp.workdps(55):
+        total = mp.fsum(zeta_double(r, k - r, 40) for r in range(2, k))
+        assert abs(total - zeta_single(k, 40)) < mp.mpf(10) ** -45
 
 
 def test_reconstruct_rational():

@@ -160,6 +160,13 @@ def test_range_guards():
         star_units(13)
 
 
+def test_star_regularize_reads_only_leading_units():
+    # Z*(y v) = E_0 Z(y v) + E_1 Z(v) with E_1 = 0, also past the weight-12
+    # cap of the star units
+    w = "y" + "x" * 11 + "y"
+    assert star_regularize(w) == shuffle_regularize(w)
+
+
 def test_str():
     assert str(Z(2, 1) - Z(3)) == "-Z(3) + Z(2, 1)"
     assert str(ZetaCombo()) == "0"
