@@ -8,10 +8,11 @@ used by the period-polynomial / double-zeta correspondence:
     M       T^-1 A T, with its identity/zero block structure
     tADB    the symmetric product
 
-Entries stay ints unless a division (D, pivots, inverses) makes a Fraction.
-Elimination is exact Gauss-Jordan with deterministic pivoting (first nonzero
-column, topmost nonzero row), so kernel bases are reproducible.  Kernel
-vectors are canonicalized to int entries, content 1, first nonzero positive.
+Entries stay ints unless a division (D, the pivot rows of an rref, and so
+inverses) makes a Fraction.  Elimination is fraction-free Gauss-Jordan on
+primitive int rows, with deterministic pivoting (first nonzero column,
+topmost nonzero row), so kernel bases are reproducible.  Kernel vectors are
+canonicalized to int entries, content 1, first nonzero positive.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ class Mat:
         return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
 
     def rref(self) -> tuple:
-        """Reduced row echelon form; returns (Mat, pivot column list)."""
-        rows = [list(r) for r in self.rows]
+        """Reduced row echelon form; returns (Mat, pivot column list).  Rows
+        are scaled to coprime ints; pivot row p (pivot entry d) turns row i
+        (entry f) into (d/g) row_i - (f/g) row_p over its content, g = gcd(d, f).
+        Pivot rows become Fractions, over their pivot entry, only at the end."""
+        rows = [_primitive(r) for r in self.rows]
         nr, nc = len(rows), self.ncols
         pivots = []
         r = 0
@@ -77,15 +81,18 @@ class Mat:
             if p is None:
                 continue
             rows[r], rows[p] = rows[p], rows[r]
-            inv = Fraction(1) / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
+            prow = rows[r]
+            d = prow[c]
             for i in range(nr):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f = rows[i][c]
+                if i != r and f:
+                    g = math.gcd(d, f)
+                    a, b = d // g, f // g
+                    rows[i] = _content_free([a * x - b * y for x, y in zip(rows[i], prow)])
             pivots.append(c)
             r += 1
-        return Mat(rows), pivots
+        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        return Mat(red + rows[r:]), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -121,19 +128,22 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
+def _content_free(ints: list) -> list:
+    """An int vector divided by the gcd of its entries."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _primitive(v: Sequence) -> list:
+    """The positive rational multiple of v with coprime int entries."""
+    den = math.lcm(*(c.denominator for c in v))
+    return _content_free([c.numerator * (den // c.denominator) for c in v])
+
+
 def normalize_vector(v: Sequence) -> list:
     """Scale to int entries, content 1, first nonzero entry positive."""
-    nonzero = [c for c in v if c]
-    if not nonzero:
-        return [0] * len(v)
-    den = math.lcm(*(c.denominator for c in nonzero))
-    ints = [c * den for c in v]
-    g = math.gcd(*(int(c) for c in ints if c))
-    ints = [c // g for c in ints]
-    first = next(c for c in ints if c)
-    if first < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = _primitive(v)
+    return [-c for c in ints] if next((c for c in ints if c), 0) < 0 else ints
 
 
 def kernel(M: Mat) -> list:

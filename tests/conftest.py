@@ -36,24 +36,35 @@ def homogeneous_polys(weight, max_terms=4):
     )
 
 
+def fraction_rref(rows):
+    """The Gauss-Jordan elimination over Fractions that Mat.rref replaced:
+    (reduced rows, pivot columns), with the same pivot rule (first nonzero
+    column, topmost nonzero row) and the zero rows kept at the bottom."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        p = next((i for i in range(r, nr) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def rref_rank(rows):
     """Plain dense elimination, independent of the package's kernel path."""
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(fraction_rref(rows)[1])
 
 
 def nsum_zeta_double(r, s, digits):

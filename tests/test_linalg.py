@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, rref_rank
+from conftest import fraction_rref, rationals, rref_rank
+from dshuffle.lie import ds_solve
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, build_S, build_T, conjugate_M,
                              kernel, normalize_vector, same_span,
                              symmetry_product)
+from dshuffle.regularization import fz_quotient_dim, sh_basis_dim
 
 A12 = Mat([
     [1, 6, 15, 28],
@@ -50,6 +52,54 @@ def test_rref_and_rank():
 @settings(max_examples=40)
 def test_rank_matches_plain_elimination(M):
     assert M.rank() == rref_rank(M.rows)
+
+
+@st.composite
+def _rational_rows(draw):
+    """Up to 6 x 6, tall or wide, mixing int and Fraction entries, zero rows
+    and rows that are combinations of earlier ones."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), st.integers(-9, 9), rationals())
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * nc)
+        elif kind == "combination" and rows:
+            a, b = draw(rationals()), draw(rationals())
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=nc, max_size=nc)))
+    return rows
+
+
+@given(_rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_fraction_oracle(rows):
+    red, pivots = Mat(rows).rref()
+    assert (red.rows, pivots) == fraction_rref(rows)
+
+
+@pytest.mark.parametrize("solve, n", [(ds_solve, 7), (fz_quotient_dim, 7), (sh_basis_dim, 6)])
+def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
+    rref = Mat.rref
+    seen = []
+
+    def spy(M):
+        seen.append(M.rows)
+        return rref(M)
+
+    monkeypatch.setattr(Mat, "rref", spy)
+    solve(n)
+    assert seen
+    for rows in seen:
+        red, pivots = rref(Mat(rows))
+        assert (red.rows, pivots) == fraction_rref(rows)
+
+
+def test_rank_clears_mixed_denominators():
+    assert Mat([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]).rank() == 1
 
 
 def test_inverse_roundtrip():

@@ -140,6 +140,11 @@ def test_fz_quotient_dims():
     assert [fz_quotient_dim(n)[0] for n in range(2, 6)] == [1, 1, 1, 2]
 
 
+def test_fz_quotient_dims_are_zagier_dn():
+    """d_n, the coefficients of 1/(1 - x^2 - x^3), at n = 6, 7, 8."""
+    assert [fz_quotient_dim(n)[0] for n in (6, 7, 8)] == [2, 3, 4]
+
+
 def test_sh_basis_dims_power_of_two():
     for n in range(2, 9):
         assert sh_basis_dim(n) == 2 ** (n - 2)
