@@ -9,7 +9,10 @@ used by the period-polynomial / double-zeta correspondence:
     tADB    the symmetric product
 
 Entries stay ints unless a division (D, the pivot rows of an rref, and so
-inverses) makes a Fraction.  Elimination is fraction-free Gauss-Jordan on
+inverses) makes a Fraction.  Products are fraction-free: each row of the
+left factor and each column of the right one is cleared of denominators
+once, dot products are taken in ints, and each entry is divided once, by
+row scale x column scale.  Elimination is fraction-free Gauss-Jordan on
 primitive int rows, with deterministic pivoting (first nonzero column,
 topmost nonzero row), so kernel bases are reproducible.  Kernel vectors are
 canonicalized to int entries, content 1, first nonzero positive.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .words import format_rational
@@ -55,15 +59,13 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().rows
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                    for row in self.rows])
+        return Mat(_products(self.rows, [_scaled(col) for col in zip(*other.rows)]))
 
     def transpose(self) -> "Mat":
         return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
 
     def mul_vec(self, v: Sequence) -> list:
-        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
+        return [c for (c,) in _products(self.rows, [_scaled(v)])]
 
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (Mat, pivot column list).  Rows
@@ -134,10 +136,26 @@ def _content_free(ints: list) -> list:
     return [c // g for c in ints] if g > 1 else ints
 
 
+def _scaled(v: Sequence) -> tuple:
+    """(ints, scale) with v = ints / scale, scale the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
+
+
 def _primitive(v: Sequence) -> list:
     """The positive rational multiple of v with coprime int entries."""
-    den = math.lcm(*(c.denominator for c in v))
-    return _content_free([c.numerator * (den // c.denominator) for c in v])
+    return _content_free(_scaled(v)[0])
+
+
+def _products(rows: Sequence, cols: list) -> list:
+    """The dot products of each row with each scaled column (ints, scale),
+    taken in ints on the cleared row and divided once; ints stay ints."""
+    return [[_quotient(sum(map(mul, r, c)), rs * cs) for c, cs in cols]
+            for r, rs in map(_scaled, rows)]
+
+
+def _quotient(n: int, d: int):
+    return Fraction(n, d) if d > 1 else n
 
 
 def normalize_vector(v: Sequence) -> list:

@@ -62,6 +62,13 @@ def fraction_rref(rows):
     return rows, pivots
 
 
+def fraction_matmul(a_rows, b_rows):
+    """The product Mat.__matmul__ replaced: each entry summed term by term
+    over the entries as given, so in Fractions once a factor holds one."""
+    ot = list(map(list, zip(*b_rows)))
+    return [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in a_rows]
+
+
 def rref_rank(rows):
     """Plain dense elimination, independent of the package's kernel path."""
     return len(fraction_rref(rows)[1])

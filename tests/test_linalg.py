@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rref, rationals, rref_rank
+from conftest import fraction_matmul, fraction_rref, rationals, rref_rank
 from dshuffle.lie import ds_solve
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, build_S, build_T, conjugate_M,
@@ -96,6 +96,45 @@ def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
     for rows in seen:
         red, pivots = rref(Mat(rows))
         assert (red.rows, pivots) == fraction_rref(rows)
+
+
+def _mixed_rows(nrows, ncols):
+    """Rows of ints, Fractions with denominators 1..9 and Fraction(n, 1),
+    some of them zero rows."""
+    entry = st.one_of(st.integers(min_value=-9, max_value=9), rationals(),
+                      st.integers(min_value=-9, max_value=9).map(lambda n: Fraction(n, 1)))
+    row = st.one_of(st.lists(entry, min_size=ncols, max_size=ncols), st.just([0] * ncols))
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+_dim = st.integers(min_value=1, max_value=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_dim, _dim, _dim).flatmap(
+    lambda s: st.tuples(_mixed_rows(s[0], s[1]), _mixed_rows(s[1], s[2]))))
+def test_matmul_matches_fraction_oracle(factors):
+    a, b = factors
+    expected = fraction_matmul(a, b)
+    assert (Mat(a) @ Mat(b)).rows == expected
+    for j, col in enumerate(zip(*b)):
+        assert Mat(a).mul_vec(col) == [row[j] for row in expected]
+
+
+def test_correspondence_products_match_fraction_oracle():
+    for k in range(12, 41, 2):
+        A, B, D, T = build_A(k), build_B(k), build_D(k), build_T(k)
+        tA = A.transpose().rows
+        assert conjugate_M(k).rows == fraction_matmul(
+            fraction_matmul(T.inverse().rows, A.rows), T.rows)
+        assert symmetry_product(k).rows == fraction_matmul(fraction_matmul(tA, D.rows), B.rows)
+        assert (D @ B).rows == fraction_matmul(D.rows, B.rows)
+
+
+def test_matmul_dimension_guard():
+    M = Mat([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        M @ M
 
 
 def test_rank_clears_mixed_denominators():
@@ -228,3 +267,9 @@ def test_integral_matrices_and_kernels_hold_ints():
     for M in (build_A(12), build_B(12), build_T(14)):
         assert all(type(c) is int for row in M.rows for c in row)
     assert all(type(c) is int for c in kernel(build_A(12))[0])
+
+
+def test_int_products_hold_ints():
+    A, B = build_A(12), build_B(12)
+    assert all(type(c) is int for row in (A @ B).rows for c in row)
+    assert all(type(c) is int for c in A.mul_vec([1, -3, 3, -1]))
