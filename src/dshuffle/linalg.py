@@ -12,10 +12,11 @@ Entries stay ints unless a division (D, the pivot rows of an rref, and so
 inverses) makes a Fraction.  Products are fraction-free: each row of the
 left factor and each column of the right one is cleared of denominators
 once, dot products are taken in ints, and each entry is divided once, by
-row scale x column scale.  Elimination is fraction-free Gauss-Jordan on
-primitive int rows, with deterministic pivoting (first nonzero column,
-topmost nonzero row), so kernel bases are reproducible.  Kernel vectors are
-canonicalized to int entries, content 1, first nonzero positive.
+row scale x column scale.  Elimination is fraction-free Gauss-Jordan, one
+primitive int row at a time; it yields the unique reduced row echelon form
+of the row space, so kernel bases are reproducible whatever the row order.
+Kernel vectors are canonicalized to int entries, content 1, first nonzero
+positive.
 """
 
 from __future__ import annotations
@@ -68,33 +69,15 @@ class Mat:
         return [c for (c,) in _products(self.rows, [_scaled(v)])]
 
     def rref(self) -> tuple:
-        """Reduced row echelon form; returns (Mat, pivot column list).  Rows
-        are scaled to coprime ints; pivot row p (pivot entry d) turns row i
-        (entry f) into (d/g) row_i - (f/g) row_p over its content, g = gcd(d, f).
-        Pivot rows become Fractions, over their pivot entry, only at the end."""
-        rows = [_primitive(r) for r in self.rows]
-        nr, nc = len(rows), self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r >= nr:
-                break
-            p = next((i for i in range(r, nr) if rows[i][c]), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            prow = rows[r]
-            d = prow[c]
-            for i in range(nr):
-                f = rows[i][c]
-                if i != r and f:
-                    g = math.gcd(d, f)
-                    a, b = d // g, f // g
-                    rows[i] = _content_free([a * x - b * y for x, y in zip(rows[i], prow)])
-            pivots.append(c)
-            r += 1
-        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-        return Mat(red + rows[r:]), pivots
+        """The unique reduced row echelon form; returns (Mat, pivot column
+        list).  It is found row by row (see _reduced_basis) on coprime int
+        rows; pivot rows become Fractions, over their pivot entry, only at the
+        end, and the zero rows follow them as ints."""
+        basis = sorted(_reduced_basis(map(_primitive, self.rows)).items())
+        zero = Fraction(0)
+        red = [[Fraction(x, row[c]) if x else zero for x in row] for c, row in basis]
+        zeros = [[0] * self.ncols for _ in range(self.nrows - len(basis))]
+        return Mat(red + zeros), [c for c, _ in basis]
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -134,6 +117,37 @@ def _content_free(ints: list) -> list:
     """An int vector divided by the gcd of its entries."""
     g = math.gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
+
+
+def _reduced_basis(rows) -> dict:
+    """Fraction-free Gauss-Jordan, one int row at a time, onto a basis
+    {pivot column: coprime int row}; each basis row leads at its pivot and is
+    zero at every other pivot.  A row v touching pivots c (entry f there, d
+    in the basis row) is reduced in one pass to den v - sum f (den/d) row_c
+    over its content, den the lcm of those d.  If nothing is left it is
+    dropped; otherwise its first nonzero column is a new pivot, cleared from
+    each basis row (entry f) as (e/g) row - (f/g) v over content, with e the
+    new pivot entry and g = gcd(e, f)."""
+    basis: dict = {}
+    for v in rows:
+        hits = [(c, f) for c in basis if (f := v[c])]
+        if hits:
+            den = math.lcm(*(basis[c][c] for c, _ in hits))
+            ms = [f * (den // basis[c][c]) for c, f in hits]
+            cols = zip(*(basis[c] for c, _ in hits))
+            v = _content_free([den * x - sum(map(mul, ms, col)) for x, col in zip(v, cols)])
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        e = v[p]
+        for c, row in basis.items():
+            f = row[p]
+            if f:
+                g = math.gcd(e, f)
+                a, b = e // g, f // g
+                basis[c] = _content_free([a * x - b * y for x, y in zip(row, v)])
+        basis[p] = v
+    return basis
 
 
 def _scaled(v: Sequence) -> tuple:

@@ -117,10 +117,12 @@ def star_units(N: int) -> tuple:
     return tuple(units)
 
 
+@lru_cache(maxsize=None)
 def star_regularize(w: Word) -> ZetaCombo:
     """Z*(w) for a word ending in y: identity on convergent words, and the
     mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise; since
-    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit."""
+    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit.
+    Cached like shuffle_regularize: callers copy or only read its terms."""
     check_word(w)
     if not w or w[-1] != "y":
         raise ValueError(f"star regularization needs a word ending in y: {w!r}")

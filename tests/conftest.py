@@ -37,9 +37,10 @@ def homogeneous_polys(weight, max_terms=4):
 
 
 def fraction_rref(rows):
-    """The Gauss-Jordan elimination over Fractions that Mat.rref replaced:
-    (reduced rows, pivot columns), with the same pivot rule (first nonzero
-    column, topmost nonzero row) and the zero rows kept at the bottom."""
+    """Column-by-column Gauss-Jordan elimination over Fractions (first
+    nonzero column, topmost nonzero row): (reduced rows, pivot columns), with
+    the zero rows kept at the bottom.  The reduced form of a row space is
+    unique, so Mat.rref, which works row by row, must return the same."""
     rows = [list(r) for r in rows]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []

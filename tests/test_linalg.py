@@ -81,7 +81,18 @@ def test_rref_matches_fraction_oracle(rows):
     assert (red.rows, pivots) == fraction_rref(rows)
 
 
-@pytest.mark.parametrize("solve, n", [(ds_solve, 7), (fz_quotient_dim, 7), (sh_basis_dim, 6)])
+@given(_rational_rows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_is_row_order_invariant(rows, data):
+    # rref works row by row, so its intermediate basis depends on the row
+    # order; the reduced form of the row space must not.
+    shuffled = data.draw(st.permutations(rows))
+    red, pivots = Mat(shuffled).rref()
+    assert (red.rows, pivots) == fraction_rref(rows)
+
+
+@pytest.mark.parametrize("solve, n", [(ds_solve, 7), (ds_solve, 8), (fz_quotient_dim, 7),
+                                      (sh_basis_dim, 6)])
 def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
     rref = Mat.rref
     seen = []

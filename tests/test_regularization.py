@@ -187,13 +187,14 @@ def test_cached_values_survive_accumulation():
     # Accumulating sums must never write into a cached result.
     weight_relations(6)
     ys = [w for n in range(1, 7) for w in words_of_weight(n) if w.endswith("y")]
-    for w in ys:
-        star_regularize(w)
+    stars = [star_regularize(w) for w in ys]
     ws = [w for n in range(7) for w in words_of_weight(n)]
     cached = [shuffle_regularize(w) for w in ws], star_units(6)
     shuffle_regularize.cache_clear()
     star_units.cache_clear()
     assert cached == ([shuffle_regularize(w) for w in ws], star_units(6))
+    star_regularize.cache_clear()
+    assert stars == [star_regularize(w) for w in ys]
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
