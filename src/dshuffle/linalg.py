@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .words import format_rational
+from .words import format_rational, scaled, unscaled
 
 
 class Mat:
@@ -60,13 +60,13 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        return Mat(_products(self.rows, [_scaled(col) for col in zip(*other.rows)]))
+        return Mat(_products(self.rows, [scaled(col) for col in zip(*other.rows)]))
 
     def transpose(self) -> "Mat":
         return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
 
     def mul_vec(self, v: Sequence) -> list:
-        return [c for (c,) in _products(self.rows, [_scaled(v)])]
+        return [c for (c,) in _products(self.rows, [scaled(v)])]
 
     def rref(self) -> tuple:
         """The unique reduced row echelon form; returns (Mat, pivot column
@@ -80,7 +80,8 @@ class Mat:
         return Mat(red + zeros), [c for c, _ in basis]
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots, from the elimination alone: no Fractions."""
+        return len(_reduced_basis(map(_primitive, self.rows)))
 
     def inverse(self) -> "Mat":
         n = self.nrows
@@ -150,26 +151,16 @@ def _reduced_basis(rows) -> dict:
     return basis
 
 
-def _scaled(v: Sequence) -> tuple:
-    """(ints, scale) with v = ints / scale, scale the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in v))
-    return [c.numerator * (den // c.denominator) for c in v], den
-
-
 def _primitive(v: Sequence) -> list:
     """The positive rational multiple of v with coprime int entries."""
-    return _content_free(_scaled(v)[0])
+    return _content_free(scaled(v)[0])
 
 
 def _products(rows: Sequence, cols: list) -> list:
     """The dot products of each row with each scaled column (ints, scale),
     taken in ints on the cleared row and divided once; ints stay ints."""
-    return [[_quotient(sum(map(mul, r, c)), rs * cs) for c, cs in cols]
-            for r, rs in map(_scaled, rows)]
-
-
-def _quotient(n: int, d: int):
-    return Fraction(n, d) if d > 1 else n
+    return [[unscaled(sum(map(mul, r, c)), rs * cs) for c, cs in cols]
+            for r, rs in map(scaled, rows)]
 
 
 def normalize_vector(v: Sequence) -> list:

@@ -12,6 +12,7 @@ yields the linear relations defining the small-weight formal zeta quotient.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -19,8 +20,8 @@ from typing import Mapping
 
 from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
                     composition_of_word, format_terms, is_convergent,
-                    pi_convergent, shuffle, shuffle_poly, stuffle,
-                    stuffle_pairs, words_of_weight)
+                    pi_convergent, scaled, shuffle, shuffle_poly, stuffle,
+                    stuffle_pairs, unscaled, words_of_weight)
 
 
 class ZetaCombo(NcPoly):
@@ -136,13 +137,28 @@ def star_regularize(w: Word) -> ZetaCombo:
     return ZetaCombo._wrap(out)
 
 
+@lru_cache(maxsize=None)
+def _scaled_star(w: Word) -> tuple:
+    """(Z, d) with Z*(w) = Z / d: star_regularize(w) cleared of denominators
+    by their lcm d, so Z has int coefficients.  Read-only, like the cache."""
+    terms = star_regularize(w).terms
+    ints, den = scaled(terms.values())
+    return ZetaCombo._wrap(dict(zip(terms, ints))), den
+
+
 def stuffle_relation(u: Word, v: Word) -> ZetaCombo:
     """The relation Z*(u) Z*(v) - Z*(u * v), resolved onto convergent
-    symbols; set to zero in the formal zeta quotient."""
-    out = dict((star_regularize(u) * star_regularize(v)).terms)
-    for w, c in stuffle(u, v).terms.items():
-        accumulate(out, star_regularize(w).terms, -c)
-    return ZetaCombo._wrap(out)
+    symbols; set to zero in the formal zeta quotient.  It is summed in ints
+    over the common denominator D of its star terms: the shuffle of the two
+    scaled factors times D / (d_u d_v), less c D / d_w times each scaled
+    Z*(w) of u * v (coefficient c), each sum divided by D once at the end."""
+    (zu, du), (zv, dv) = _scaled_star(u), _scaled_star(v)
+    stars = [(_scaled_star(w), c) for w, c in stuffle(u, v).terms.items()]
+    den = math.lcm(du * dv, *(d for (_, d), _ in stars))
+    out = accumulate({}, (zu * zv).terms, den // (du * dv))
+    for (z, d), c in stars:
+        accumulate(out, z.terms, -c * (den // d))
+    return ZetaCombo._wrap({w: unscaled(c, den) for w, c in out.items()})
 
 
 def weight_relations(n: int) -> list:
@@ -158,8 +174,8 @@ def weight_relations(n: int) -> list:
 def fz_quotient_dim(n: int) -> tuple:
     """Dimension of the weight-n formal zeta quotient and a reduced
     basis of the relation space (rows over convergent symbols)."""
-    if not 2 <= n <= 8:
-        raise ValueError("quotient dimensions are desk-scale: 2 <= n <= 8")
+    if not 2 <= n <= 10:
+        raise ValueError("quotient dimensions are desk-scale: 2 <= n <= 10")
     from .linalg import Mat
 
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
@@ -177,20 +193,23 @@ def fz_quotient_dim(n: int) -> tuple:
 
 def sh_basis_dim(n: int) -> int:
     """Dimension of the weight-n space of polynomials annihilated by all
-    shuffle-regularization relation rows; equals 2^(n-2)."""
+    shuffle-regularization relation rows w - reg(w), w non-convergent;
+    equals 2^(n-2).  The columns put the non-convergent words first, so the
+    matrix is [I | -R] and each row leads at its own word: the elimination
+    that finds the rank never fills in."""
     if not 2 <= n <= 8:
         raise ValueError("2 <= n <= 8")
     from .linalg import Mat
 
-    all_words = words_of_weight(n)
-    index = {w: i for i, w in enumerate(all_words)}
+    columns = sorted(words_of_weight(n), key=is_convergent)  # stable: False first
+    index = {w: i for i, w in enumerate(columns)}
     rows = []
-    for w in all_words:
+    for w in columns:
         if is_convergent(w):
-            continue
-        row = [0] * len(all_words)
+            break
+        row = [0] * len(columns)
         row[index[w]] = 1
         for t, c in shuffle_regularize(w).terms.items():
             row[index[t]] -= c
         rows.append(row)
-    return len(all_words) - Mat(rows).rank()
+    return len(columns) - Mat(rows).rank()

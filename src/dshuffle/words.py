@@ -10,9 +10,10 @@ int stays an int, and a Fraction appears only where a division happened.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 ALPHABET = "xy"
 
@@ -154,14 +155,25 @@ def accumulate(acc: dict, terms: Mapping, c=1) -> dict:
     acc must be a dict the caller owns: never the terms of a polynomial
     that a cached function returned.
     """
-    scaled = c != 1
+    times = c != 1
     for w, v in terms.items():
-        s = acc.get(w, 0) + (c * v if scaled else v)
+        s = acc.get(w, 0) + (c * v if times else v)
         if s:
             acc[w] = s
         else:
             acc.pop(w, None)
     return acc
+
+
+def scaled(v: Collection[Rational]) -> tuple:
+    """(ints, scale) with v = ints / scale, scale the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
+
+
+def unscaled(n: int, scale: int) -> Rational:
+    """n / scale, an int when scale is 1."""
+    return Fraction(n, scale) if scale > 1 else n
 
 
 def format_rational(c: Rational) -> str:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 from hypothesis import strategies as st
 
-from dshuffle.words import NcPoly
+from dshuffle.regularization import ZetaCombo, star_regularize
+from dshuffle.words import NcPoly, accumulate, stuffle
 
 
 def words(min_size=0, max_size=6):
@@ -73,6 +74,16 @@ def fraction_matmul(a_rows, b_rows):
 def rref_rank(rows):
     """Plain dense elimination, independent of the package's kernel path."""
     return len(fraction_rref(rows)[1])
+
+
+def fraction_stuffle_relation(u, v):
+    """The build stuffle_relation replaced: Z*(u) Z*(v) - Z*(u * v) summed
+    term by term over the star values as given, so in Fractions wherever one
+    holds a Fraction."""
+    out = dict((star_regularize(u) * star_regularize(v)).terms)
+    for w, c in stuffle(u, v).terms.items():
+        accumulate(out, star_regularize(w).terms, -c)
+    return ZetaCombo._wrap(out)
 
 
 def nsum_zeta_double(r, s, digits):

@@ -197,7 +197,7 @@ def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, arg
 
 def cheap_argvs():
     """Command lines of every subcommand that run in well under a second,
-    valid or not: no ds-solve 9/10, no fz-dim 8, no numeric check, and no
+    valid or not: no ds-solve 9/10, no fz-dim 8..10, no numeric check, and no
     large weight for the matrix builders that have no upper cap."""
     def ints(lo, hi):
         return st.sampled_from(range(lo, hi + 1))   # uniform, unlike st.integers
@@ -225,7 +225,7 @@ def cheap_argvs():
         st.builds(lambda a, d: ["report", "--from", str(a), "--to", str(a + d)],
                   weights, ints(-4, 6)),
         st.builds(lambda n: ["ds-solve", "--weight", str(n)], ints(-2, 8) | ints(11, 64)),
-        st.builds(lambda n: ["fz-dim", "--weight", str(n)], ints(-2, 7) | ints(9, 64)),
+        st.builds(lambda n: ["fz-dim", "--weight", str(n)], ints(-2, 7) | ints(11, 64)),
         st.builds(lambda w, star: ["regularize", "--word", w] + star,
                   st.text(alphabet="xy", max_size=8) | st.sampled_from(["z", "xyz", "1", " "]),
                   st.sampled_from([[], ["--star"]])),

@@ -38,7 +38,7 @@ def commands() -> dict:
                      for k in range(12, 21, 2) for f in FORMATS],
         "report": [["report", "--from", "12", "--to", "40"]],
         "ds-solve": [["ds-solve", "--weight", str(n)] for n in range(3, 11)],
-        "fz-dim": [["fz-dim", "--weight", str(n)] for n in range(2, 9)],
+        "fz-dim": [["fz-dim", "--weight", str(n)] for n in range(2, 11)],
         "regularize": [["regularize", "--word", w] + star
                        for n in range(7) for w in words_of_weight(n)
                        for star in ([], ["--star"])]

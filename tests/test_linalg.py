@@ -94,19 +94,24 @@ def test_rref_is_row_order_invariant(rows, data):
 @pytest.mark.parametrize("solve, n", [(ds_solve, 7), (ds_solve, 8), (fz_quotient_dim, 7),
                                       (sh_basis_dim, 6)])
 def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
-    rref = Mat.rref
+    # sh_basis_dim asks only for a rank, which counts pivots without rref
+    rref, rank = Mat.rref, Mat.rank
     seen = []
 
-    def spy(M):
-        seen.append(M.rows)
-        return rref(M)
+    def spy(method):
+        def spied(M):
+            seen.append(M.rows)
+            return method(M)
+        return spied
 
-    monkeypatch.setattr(Mat, "rref", spy)
+    monkeypatch.setattr(Mat, "rref", spy(rref))
+    monkeypatch.setattr(Mat, "rank", spy(rank))
     solve(n)
     assert seen
     for rows in seen:
         red, pivots = rref(Mat(rows))
         assert (red.rows, pivots) == fraction_rref(rows)
+        assert rank(Mat(rows)) == rref_rank(rows)
 
 
 def _mixed_rows(nrows, ncols):

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import y_words
-from dshuffle.regularization import (ZetaCombo, decompose, fz_quotient_dim,
-                                     regularize_poly, sh_basis_dim,
+from conftest import fraction_rref, fraction_stuffle_relation, y_words
+from dshuffle.linalg import Mat
+from dshuffle.regularization import (ZetaCombo, _scaled_star, decompose,
+                                     fz_quotient_dim, regularize_poly, sh_basis_dim,
                                      shuffle_regularize, star_regularize,
                                      star_units, stuffle_relation,
                                      weight_relations)
-from dshuffle.words import NcPoly, is_convergent, words_of_weight
+from dshuffle.words import NcPoly, is_convergent, stuffle_pairs, words_of_weight
 
 
 def Z(*parts):
@@ -141,13 +142,35 @@ def test_fz_quotient_dims():
 
 
 def test_fz_quotient_dims_are_zagier_dn():
-    """d_n, the coefficients of 1/(1 - x^2 - x^3), at n = 6, 7, 8."""
-    assert [fz_quotient_dim(n)[0] for n in (6, 7, 8)] == [2, 3, 4]
+    """d_n, the coefficients of 1/(1 - x^2 - x^3), at n = 6 .. 10."""
+    assert [fz_quotient_dim(n)[0] for n in range(6, 11)] == [2, 3, 4, 5, 7]
 
 
 def test_sh_basis_dims_power_of_two():
     for n in range(2, 9):
         assert sh_basis_dim(n) == 2 ** (n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stuffle_relation_matches_fraction_oracle(n):
+    for u, v in stuffle_pairs(n):
+        rel, oracle = stuffle_relation(u, v), fraction_stuffle_relation(u, v)
+        assert rel == oracle
+        assert str(rel) == str(oracle)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sh_basis_dim_rank_matches_natural_column_order(n):
+    # the rows w - reg(w) over the words in canonical order, as one matrix
+    # whose elimination fills in: the exact elimination meets the oracle on
+    # it, and the identity-first columns give the same rank
+    ws = words_of_weight(n)
+    rows = [[int(t == w) - shuffle_regularize(w).coeff(t) for t in ws]
+            for w in ws if not is_convergent(w)]
+    red, pivots = Mat(rows).rref()
+    assert (red.rows, pivots) == fraction_rref(rows)
+    assert Mat(rows).rank() == len(pivots)
+    assert sh_basis_dim(n) == len(ws) - len(pivots)
 
 
 def test_weight_relations_homogeneous():
@@ -158,7 +181,7 @@ def test_weight_relations_homogeneous():
 
 def test_range_guards():
     with pytest.raises(ValueError):
-        fz_quotient_dim(9)
+        fz_quotient_dim(11)
     with pytest.raises(ValueError):
         sh_basis_dim(1)
     with pytest.raises(ValueError):
@@ -195,6 +218,9 @@ def test_cached_values_survive_accumulation():
     assert cached == ([shuffle_regularize(w) for w in ws], star_units(6))
     star_regularize.cache_clear()
     assert stars == [star_regularize(w) for w in ys]
+    scaled_stars = [_scaled_star(w) for w in ys]
+    _scaled_star.cache_clear()
+    assert scaled_stars == [_scaled_star(w) for w in ys]
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
