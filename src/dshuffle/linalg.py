@@ -279,20 +279,12 @@ def conjugate_M(k: int) -> Mat:
 
 
 def block_check(M: Mat, k: int) -> bool:
-    """Verify the identity upper-left and zero upper-right blocks of M,
-    with dimensions (k-4)/4 square when k = 0 mod 4, and (k-2)/4 square
-    identity next to a (k-2)/4 x (k-6)/4 zero block when k = 2 mod 4."""
-    n = _check_weight(k)
-    if k % 4 == 0:
-        top, left = (k - 4) // 4, (k - 4) // 4
-    else:
-        top, left = (k - 2) // 4, (k - 2) // 4
-    for i in range(top):
-        for j in range(n):
-            expected = 1 if i == j and j < left else 0
-            if M.rows[i][j] != expected:
-                return False
-    return True
+    """Verify the identity upper-left and zero upper-right blocks of M: its
+    top (k-2)//4 rows are those of the identity.  That is (k-4)/4 square
+    identity blocks when k = 0 mod 4, and a (k-2)/4 square identity next to
+    a (k-2)/4 x (k-6)/4 zero block when k = 2 mod 4."""
+    top = (k - 2) // 4
+    return M.rows[:top] == Mat.identity(_check_weight(k)).rows[:top]
 
 
 def symmetry_product(k: int) -> Mat:

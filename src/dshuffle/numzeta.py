@@ -5,21 +5,19 @@ of their word at 1/2 (Borwein, Bradley, Broadhurst and Lisonek, Special
 values of multiple polylogarithms, 2001): a sum of products of
 polylogarithms Li_u(1/2), nested sums that converge like 2^-m and need
 no regularization.  They are truncated by a proved bound and summed in
-integers rounded down, so no error bound is guessed.  Rational scalars
-are recovered by continued-fraction reconstruction (denominator bound
-10^6) and confirmed at a second, higher precision.
+integers rounded down, so no error bound is guessed.  A relation is
+compared with its exact scalar, relations.gkz_scalar, in one pass.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import mpmath as mp
 
-from .relations import Relation
+from .relations import Relation, gkz_scalar
 
 GUARD_DIGITS = 15
-DENOMINATOR_BOUND = 10 ** 6
 
 
 def zeta_single(k: int, digits: int) -> mp.mpf:
@@ -38,8 +36,8 @@ def zeta_double(r: int, s: int, digits: int) -> mp.mpf:
         raise ValueError("zeta(r, s) requires r >= 2")
     if s < 1:
         raise ValueError("zeta(r, s) requires s >= 1")
-    if digits > 50:
-        raise ValueError("digits <= 50")
+    if digits > 100:
+        raise ValueError("digits <= 100")
     return _holder_zeta("x" * (r - 1) + "y" + "x" * (s - 1) + "y", digits)
 
 
@@ -106,39 +104,22 @@ def _holder_zeta(w: str, digits: int) -> mp.mpf:
                         -2 * P)
 
 
-def reconstruct_rational(x, max_denominator: int = DENOMINATOR_BOUND) -> Fraction:
-    """Best continued-fraction approximation with bounded denominator."""
-    p, q = mp.libmp.to_rational(mp.mpf(x)._mpf_)
-    return Fraction(p, q).limit_denominator(max_denominator)
-
-
 def verify_relation(rel: Relation, digits: int) -> tuple:
     """Evaluate a double zeta relation numerically.
 
-    Returns (residual, scalar): the rational scalar c with
-    sum q_(r,s) zeta(r, s) ~ c * zeta(k), reconstructed by continued
-    fractions and confirmed at a second precision, and the absolute
-    residual |sum / zeta(k) - c|.  scalar is None when the two
-    reconstructions disagree.
+    Returns (residual, scalar): the exact scalar c = gkz_scalar(rel) with
+    sum q_(r,s) zeta(r, s) = c * zeta(k), and the absolute residual
+    |sum / zeta(k) - c|.  The zetas are taken ceil(log10 sum |q_(r,s)|)
+    digits beyond `digits`, so their error, scaled by the coefficients,
+    stays within the guard digits.
     """
     if rel.kind != "double_zeta":
         raise ValueError("only double_zeta relations can be verified numerically")
-    scalars = []
-    ratios = []
-    for d in (digits, digits + 10):
-        with mp.workdps(d + GUARD_DIGITS):
-            total = mp.mpf(0)
-            for (r, s), c in rel.terms:
-                if c:
-                    total += (mp.mpf(c.numerator) / c.denominator
-                              * zeta_double(r, s, d))
-            ratio = total / zeta_single(rel.weight, d)
-            ratios.append(+ratio)
-            scalars.append(reconstruct_rational(ratio))
-    if scalars[0] != scalars[1]:
-        with mp.workdps(digits + GUARD_DIGITS):
-            return +abs(ratios[0]), None
-    scalar = scalars[0]
-    with mp.workdps(digits + GUARD_DIGITS):
-        residual = +abs(ratios[0] - mp.mpf(scalar.numerator) / scalar.denominator)
-    return residual, scalar
+    scalar = gkz_scalar(rel)
+    size = sum(abs(c) for c in rel.coefficients())
+    d = digits + math.ceil(math.log10(max(size, 1)))
+    with mp.workdps(d + GUARD_DIGITS):
+        total = mp.fsum(mp.mpf(c.numerator) / c.denominator * zeta_double(r, s, d)
+                        for (r, s), c in rel.terms if c)
+        ratio = total / zeta_single(rel.weight, d)
+        return +abs(ratio - mp.mpf(scalar.numerator) / scalar.denominator), scalar

@@ -63,6 +63,19 @@ def _binomial_row_add(row: list, c, shift: int, power: int, sign_base: int):
         row[shift + t] += c * math.comb(power, t) * (sign_base ** (power - t))
 
 
+def _three_term(k: int, coeffs) -> list:
+    """Coefficients of X^0 .. X^(k-2) in
+    sum_i p_2i [ X^2i + (X-1)^2i X^(k-2-2i) + (X-1)^(k-2-2i) ],
+    skipping the zero p_2i."""
+    row = [0] * (k - 1)
+    for i, c in enumerate(coeffs, 1):
+        if c:
+            row[2 * i] += c
+            _binomial_row_add(row, c, k - 2 - 2 * i, 2 * i, -1)
+            _binomial_row_add(row, c, 0, k - 2 - 2 * i, -1)
+    return row
+
+
 def ek_basis(k: int) -> List[PeriodPoly]:
     """Exact basis of E_k, normalized to integer coefficients with content 1
     and positive first (lowest-degree) nonzero coefficient."""
@@ -71,7 +84,6 @@ def ek_basis(k: int) -> List[PeriodPoly]:
     n = (k - 4) // 2
     if n == 0:
         return []
-    deg = k - 2
     rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0
     for i in range(1, n + 1):
@@ -79,17 +91,8 @@ def ek_basis(k: int) -> List[PeriodPoly]:
         row[i - 1] += 1
         row[n - i] += 1
         rows.append(row)
-    # three-term relation, coefficients of X^0 .. X^(k-2):
-    #   sum_i p_2i [ X^2i + (X-1)^2i X^(k-2-2i) + (X-1)^(k-2-2i) ] = 0
-    cols = []
-    for i in range(1, n + 1):
-        col = [0] * (deg + 1)
-        col[2 * i] += 1
-        _binomial_row_add(col, 1, k - 2 - 2 * i, 2 * i, -1)
-        _binomial_row_add(col, 1, 0, k - 2 - 2 * i, -1)
-        cols.append(col)
-    for d in range(deg + 1):
-        rows.append([cols[j][d] for j in range(n)])
+    # three-term relation: one row per power of X, one column per p_2i
+    rows += map(list, zip(*(_three_term(k, e) for e in Mat.identity(n).rows)))
     basis = kernel(Mat(rows))
     if len(basis) != ek_dim_formula(k):
         raise ConsistencyError(f"dim E_{k} = {len(basis)} disagrees with the formula")
@@ -98,19 +101,7 @@ def ek_basis(k: int) -> List[PeriodPoly]:
 
 def check_functional_equations(P: PeriodPoly) -> bool:
     """Exact residual check of both defining functional equations."""
-    n = len(P.coeffs)
-    if not P.is_antisymmetric():
-        return False
-    deg = P.k - 2
-    residual = [0] * (deg + 1)
-    for i in range(1, n + 1):
-        c = P.coeffs[i - 1]
-        if not c:
-            continue
-        residual[2 * i] += c
-        _binomial_row_add(residual, c, P.k - 2 - 2 * i, 2 * i, -1)
-        _binomial_row_add(residual, c, 0, P.k - 2 - 2 * i, -1)
-    return not any(residual)
+    return P.is_antisymmetric() and not any(_three_term(P.k, P.coeffs))
 
 
 def a_vector(P: PeriodPoly) -> list:

@@ -12,11 +12,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
+import mpmath as mp
+
 from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D,
                      conjugate_M, block_check, kernel, normalize_vector,
                      same_span, symmetry_product)
 from .periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
-from .words import ConsistencyError, format_rational, format_terms
+from .regularization import stuffle_relation
+from .words import (ConsistencyError, accumulate, format_rational, format_terms,
+                    stuffle, word_of_composition)
 
 
 @dataclass(frozen=True)
@@ -85,20 +89,50 @@ def gkz_relations(k: int) -> List[Relation]:
     out = []
     vecs = []
     for P in ek_basis(k):
-        q = normalize_vector(q_vector(P).entries)
+        qv = q_vector(P)
+        q = normalize_vector(qv.entries)
         if q and q[-1] < 0:
             q = [-c for c in q]
         q = [2 * c for c in q]
         if any(tA.mul_vec(q)):
             raise ConsistencyError("q-vector fell outside Ker tA")
         vecs.append(q)
-        pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]
-        terms = tuple(((r, s), c) for (r, s), c in
-                      sorted(zip(pairs, q), key=lambda t: -t[0][0]))
+        terms = tuple(sorted(zip(qv.index_pairs(), q), key=lambda t: -t[0][0]))
         out.append(Relation(weight=k, kind="double_zeta", terms=terms))
     if not same_span(vecs, ker_t):
         raise ConsistencyError("emitted relations do not span Ker tA")
     return out
+
+
+def gkz_scalar(rel: Relation) -> Fraction:
+    """The exact c with sum q_(r,s) Z(r, s) = c Z(k) in the formal depth-2
+    double zeta space of Gangl-Kaneko-Zagier: the unknowns Z(j, k-j),
+    2 <= j < k, and Z(k), cut by stuffle = shuffle for 2 <= r <= s and by
+    Euler's Z(r) Z(s) = beta Z(k), beta = -B_r B_s C(k, r) / (2 B_k), for
+    even r, s.  A kernel vector of the matrix whose columns are these rows,
+    the relation and Z(k), with mu on the relation and nu on Z(k), gives
+    c = -nu/mu; there must be exactly one such c."""
+    k = rel.weight
+    zk = word_of_composition((k,))
+    index = {word_of_composition((j, k - j)): j - 2 for j in range(2, k)} | {zk: k - 2}
+    bern = [Fraction(*mp.bernfrac(n)) for n in range(k + 1)]
+    cols = []
+    for r in range(2, k // 2 + 1):
+        u, v = word_of_composition((r,)), word_of_composition((k - r,))
+        cols.append(stuffle_relation(u, v).terms)
+        if r % 2 == 0:
+            beta = -bern[r] * bern[k - r] * math.comb(k, r) / (2 * bern[k])
+            cols.append(accumulate(dict(stuffle(u, v).terms), {zk: -beta}))
+    cols += [{word_of_composition(rs): c for rs, c in rel.terms}, {zk: 1}]
+    rows = [[0] * len(cols) for _ in index]
+    for j, col in enumerate(cols):
+        for w, c in col.items():
+            rows[index[w]][j] += c
+    scalars = {Fraction(-nu, mu) if mu else None
+               for *_, mu, nu in kernel(Mat(rows)) if mu or nu}
+    if len(scalars) != 1 or None in scalars:
+        raise ConsistencyError(f"no unique scalar for {rel}")
+    return scalars.pop()
 
 
 @dataclass

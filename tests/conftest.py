@@ -86,6 +86,14 @@ def fraction_stuffle_relation(u, v):
     return ZetaCombo._wrap(out)
 
 
+def reconstruct_rational(x, max_denominator=10 ** 6):
+    """Best continued-fraction approximation of x with denominator at most
+    max_denominator: the guess relations.gkz_scalar replaced, right only
+    while the true denominator is below the bound (weights 12..22)."""
+    p, q = mp.libmp.to_rational(mp.mpf(x)._mpf_)
+    return Fraction(p, q).limit_denominator(max_denominator)
+
+
 def nsum_zeta_double(r, s, digits):
     """zeta(r, s) summed as sum_m H_(m-1)^(s) / m^r: an exact prefix plus a
     Richardson-accelerated tail whose terms come from the Hurwitz zeta

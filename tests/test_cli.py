@@ -82,13 +82,24 @@ def test_check_weight12(capsys):
 
 @pytest.mark.parametrize("weight, scalar", [
     (18, "125643662/43867"), (20, "111230333/174611"),
-    (22, "1265143726/77683"), (26, "965024376420/657931"),
+    (22, "1265143726/77683"), (24, "2922134203997/236364091"),
+    (26, "965024376420/657931"), (28, "8107925374084785/3392780147"),
+    (32, "393749430603472426710/7709321041217"),
+    (36, "9535907207271261577674766462/26315271553053477373"),
+    (40, "2381600221812841209121364988938/261082718496449122051"),
 ])
 def test_check_high_weights(capsys, weight, scalar):
     code, out, _ = run(capsys, "check", "--weight", str(weight), "--digits", "30")
     assert code == 0
     assert out.startswith("ok ")
     assert f"scalar = {scalar}  " in out
+
+
+def test_check_weight40_at_40_digits(capsys):
+    code, out, _ = run(capsys, "check", "--weight", "40", "--digits", "40")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert all(line.startswith("ok ") for line in out.splitlines())
 
 
 def test_check_fails_below_requested_digits(capsys, monkeypatch):

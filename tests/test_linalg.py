@@ -222,6 +222,17 @@ def test_M_weight12_golden_and_blocks():
         assert block_check(conjugate_M(k), k)
 
 
+@pytest.mark.parametrize("k", range(12, 42, 2))
+def test_block_check_rejects_any_changed_top_entry(k):
+    M = conjugate_M(k)
+    assert block_check(M, k)
+    for i in range((k - 2) // 4):
+        for j in range(M.ncols):
+            rows = [list(row) for row in M.rows]
+            rows[i][j] += 1
+            assert not block_check(Mat(rows), k)
+
+
 def test_S_is_involution_and_T_diagonalizes_it():
     for k in (12, 14, 16, 18):
         S = build_S(k)

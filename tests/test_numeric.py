@@ -3,10 +3,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from conftest import nsum_zeta_double
-from dshuffle.numzeta import (reconstruct_rational, verify_relation,
-                              zeta_double, zeta_single)
-from dshuffle.relations import Relation, gkz_relations, ihara_relations
+from conftest import nsum_zeta_double, reconstruct_rational
+from dshuffle.numzeta import verify_relation, zeta_double, zeta_single
+from dshuffle.relations import Relation, gkz_relations, gkz_scalar, ihara_relations
 
 
 def test_zeta_single_known_values():
@@ -56,7 +55,7 @@ def test_zeta_double_guards():
     with pytest.raises(ValueError):
         zeta_double(2, 0, 30)
     with pytest.raises(ValueError):
-        zeta_double(2, 1, 51)
+        zeta_double(2, 1, 101)
 
 
 # The terms of the weight-12 and weight-16 double zeta relations, and the
@@ -88,12 +87,31 @@ def test_reconstruct_rational():
         assert reconstruct_rational(mp.mpf("-0.25")) == Fraction(-1, 4)
 
 
+@pytest.mark.parametrize("k", [12, 16, 18, 20, 22])
+def test_reconstructed_ratio_matches_exact_scalar(k):
+    # below weight 24 every denominator is under the oracle's 10^6 bound
+    for rel in gkz_relations(k):
+        with mp.workdps(65):
+            total = mp.fsum(c * zeta_double(r, s, 50) for (r, s), c in rel.terms)
+            assert reconstruct_rational(total / zeta_single(k, 50)) == gkz_scalar(rel)
+
+
 def test_verify_weight12_relation():
     rel = gkz_relations(12)[0]
     residual, scalar = verify_relation(rel, 30)
     assert scalar == Fraction(5197, 691)
     with mp.workdps(40):
         assert residual < mp.mpf(10) ** -25
+
+
+@pytest.mark.parametrize("digits", [15, 40])
+def test_verify_keeps_guard_digits_at_weight40(digits):
+    # coefficients up to 10^18.4 must not use up the 15 guard digits; the
+    # proved error is a few units of 10^-(digits + 15)
+    for rel in gkz_relations(40):
+        residual, _ = verify_relation(rel, digits)
+        with mp.workdps(digits + 20):
+            assert residual < mp.mpf(10) ** -(digits + 14)
 
 
 def test_verify_rejects_bracket_relations():

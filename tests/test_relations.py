@@ -8,7 +8,8 @@ from dshuffle import relations
 from dshuffle.linalg import build_A, kernel, same_span
 from dshuffle.periodpoly import PeriodPoly
 from dshuffle.relations import (Relation, correspondence_report,
-                                gkz_relations, ihara_relations)
+                                gkz_relations, gkz_scalar, ihara_relations)
+from dshuffle.words import ConsistencyError
 
 RELATION_SCHEMA = {
     "type": "object",
@@ -78,6 +79,21 @@ def test_gkz_vectors_lie_in_ker_tA_and_span_it():
             vecs.append(v)
         if vecs:
             assert same_span(vecs, ker)
+
+
+@pytest.mark.parametrize("k", range(12, 42, 2))
+def test_gkz_scalar_of_sum_formula_is_one(k):
+    # sum_{r=2..k-1} Z(r, k-r) = Z(k) is none of the rows; c is unique only
+    # if Z(k) itself is not a relation, which the zero relation's 0 shows
+    terms = tuple(((r, k - r), 1) for r in range(2, k))
+    assert gkz_scalar(Relation(k, "double_zeta", terms)) == 1
+    assert gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 0),))) == 0
+
+
+@pytest.mark.parametrize("k", [12, 16, 28, 40])
+def test_gkz_scalar_rejects_a_single_double_zeta(k):
+    with pytest.raises(ConsistencyError):
+        gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 1),)))
 
 
 def test_relation_counts_match_dimension():
