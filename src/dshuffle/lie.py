@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from .words import NcPoly, Word, accumulate, concat, pair, stuffle, stuffle_pairs
 
-X = NcPoly.word("x")
 Y = NcPoly.word("y")
 
 
@@ -149,31 +148,6 @@ def lyndon_bracket(w: Word) -> NcPoly:
 def lie_basis(n: int) -> list:
     """Basis of Lie_n[x, y]: bracketed Lyndon words of length n."""
     return [lyndon_bracket(w) for w in lyndon_words(n)]
-
-
-def lie_dim(n: int) -> int:
-    """Necklace formula (1/n) sum_{d | n} mu(d) 2^(n/d)."""
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += _mobius(d) * 2 ** (n // d)
-    return total // n
-
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, result, p = n, 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
 
 
 def ds_solve(n: int) -> list:

@@ -40,9 +40,6 @@ class PeriodPoly:
         n = len(self.coeffs)
         return all(self.coeffs[i] == -self.coeffs[n - 1 - i] for i in range(n))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self) -> str:
         n = len(self.coeffs)
         # pair X^(k-2-2i) with X^(2i), highest power first
@@ -57,22 +54,19 @@ def ek_dim_formula(k: int) -> int:
     return (k - 4) // 4 - (k - 2) // 6
 
 
-def _binomial_row_add(row: list, c, shift: int, power: int, sign_base: int):
-    # accumulate c * (X + sign_base)^power * X^shift into coefficient row
+def _binomial_row_add(row: list, shift: int, power: int):
+    # accumulate (X - 1)^power * X^shift into coefficient row
     for t in range(power + 1):
-        row[shift + t] += c * math.comb(power, t) * (sign_base ** (power - t))
+        row[shift + t] += math.comb(power, t) * (-1) ** (power - t)
 
 
-def _three_term(k: int, coeffs) -> list:
+def _three_term(k: int, i: int) -> list:
     """Coefficients of X^0 .. X^(k-2) in
-    sum_i p_2i [ X^2i + (X-1)^2i X^(k-2-2i) + (X-1)^(k-2-2i) ],
-    skipping the zero p_2i."""
+    X^2i + (X-1)^2i X^(k-2-2i) + (X-1)^(k-2-2i)."""
     row = [0] * (k - 1)
-    for i, c in enumerate(coeffs, 1):
-        if c:
-            row[2 * i] += c
-            _binomial_row_add(row, c, k - 2 - 2 * i, 2 * i, -1)
-            _binomial_row_add(row, c, 0, k - 2 - 2 * i, -1)
+    row[2 * i] += 1
+    _binomial_row_add(row, k - 2 - 2 * i, 2 * i)
+    _binomial_row_add(row, 0, k - 2 - 2 * i)
     return row
 
 
@@ -92,16 +86,11 @@ def ek_basis(k: int) -> List[PeriodPoly]:
         row[n - i] += 1
         rows.append(row)
     # three-term relation: one row per power of X, one column per p_2i
-    rows += map(list, zip(*(_three_term(k, e) for e in Mat.identity(n).rows)))
+    rows += map(list, zip(*(_three_term(k, i) for i in range(1, n + 1))))
     basis = kernel(Mat(rows))
     if len(basis) != ek_dim_formula(k):
         raise ConsistencyError(f"dim E_{k} = {len(basis)} disagrees with the formula")
     return [PeriodPoly(k, tuple(v)) for v in basis]
-
-
-def check_functional_equations(P: PeriodPoly) -> bool:
-    """Exact residual check of both defining functional equations."""
-    return P.is_antisymmetric() and not any(_three_term(P.k, P.coeffs))
 
 
 def a_vector(P: PeriodPoly) -> list:

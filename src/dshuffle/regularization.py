@@ -34,13 +34,11 @@ class ZetaCombo(NcPoly):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, Rational] | None = None, scalar=0):
+    def __init__(self, terms: Mapping[Word, Rational] | None = None):
         super().__init__(terms)
         bad = [w for w in self.terms if w and not is_convergent(w)]
         if bad:
             raise ValueError(f"non-convergent symbol: {bad[0]!r}")
-        if scalar:
-            accumulate(self.terms, {"": scalar})
 
     @property
     def scalar(self) -> Rational:
@@ -48,7 +46,7 @@ class ZetaCombo(NcPoly):
 
     @classmethod
     def unit(cls) -> "ZetaCombo":
-        return cls(scalar=1)
+        return cls({"": 1})
 
     @classmethod
     def symbol(cls, w: Word) -> "ZetaCombo":
@@ -90,14 +88,6 @@ def shuffle_regularize(w: Word) -> ZetaCombo:
             inner = "y" * (r - a) + v + "x" * (s - b)
             poly = shuffle_poly(shuffle("y" * a, inner), NcPoly.word("x" * b))
             accumulate(out, pi_convergent(poly).terms, -1 if (a + b) % 2 else 1)
-    return ZetaCombo._wrap(out)
-
-
-def regularize_poly(f) -> ZetaCombo:
-    """Linear extension of shuffle_regularize to a polynomial."""
-    out: dict = {}
-    for w, c in f.terms.items():
-        accumulate(out, shuffle_regularize(w).terms, c)
     return ZetaCombo._wrap(out)
 
 

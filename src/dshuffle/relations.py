@@ -6,7 +6,6 @@ with every cross-check recorded in a structured report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,8 +15,8 @@ import mpmath as mp
 
 from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D,
                      conjugate_M, block_check, kernel, normalize_vector,
-                     same_span, symmetry_product)
-from .periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
+                     same_span)
+from .periodpoly import a_vector, ek_basis, ek_dim_formula, q_vector
 from .regularization import stuffle_relation
 from .words import (ConsistencyError, accumulate, format_rational, format_terms,
                     stuffle, word_of_composition)
@@ -51,9 +50,6 @@ class Relation:
             "scalar_estimate": (format_rational(self.scalar_estimate)
                                 if self.scalar_estimate is not None else None),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def __str__(self) -> str:
         if self.kind == "bracket":
@@ -111,8 +107,11 @@ def gkz_scalar(rel: Relation) -> Fraction:
     Euler's Z(r) Z(s) = beta Z(k), beta = -B_r B_s C(k, r) / (2 B_k), for
     even r, s.  A kernel vector of the matrix whose columns are these rows,
     the relation and Z(k), with mu on the relation and nu on Z(k), gives
-    c = -nu/mu; there must be exactly one such c."""
+    c = -nu/mu; there must be exactly one such c.  Every term must be a
+    Z(r, s) of weight k, r >= 2, s >= 1."""
     k = rel.weight
+    if any(r < 2 or s < 1 or r + s != k for (r, s), _ in rel.terms):
+        raise ValueError(f"not a relation among Z(r, s) of weight {k}: {rel}")
     zk = word_of_composition((k,))
     index = {word_of_composition((j, k - j)): j - 2 for j in range(2, k)} | {zk: k - 2}
     bern = [Fraction(*mp.bernfrac(n)) for n in range(k + 1)]
@@ -150,7 +149,6 @@ class CorrespondenceReport:
     block_ok: bool
     duality_span_ok: bool
     q_equals_DBa: bool
-    matrix_A: Mat
     ker_A: list
     ker_tA: list
     failures: list = field(default_factory=list)
@@ -185,9 +183,11 @@ def correspondence_report(k: int) -> CorrespondenceReport:
         raise ValueError("report covers even 12 <= k <= 40")
     failures = []
     A = build_A(k)
+    tA = A.transpose()
+    DB = build_D(k) @ build_B(k)
     basis = ek_basis(k)
     ker_A = kernel(A)
-    ker_tA = kernel(A.transpose())
+    ker_tA = kernel(tA)
     dim_formula = ek_dim_formula(k)
     dims_agree = len(basis) == len(ker_A) == len(ker_tA) == dim_formula
     if not dims_agree:
@@ -201,7 +201,7 @@ def correspondence_report(k: int) -> CorrespondenceReport:
         if not symbolic_agrees:
             failures.append("symbolic A differs from closed form")
 
-    symmetry_ok = symmetry_product(k).is_symmetric()
+    symmetry_ok = (tA @ DB).is_symmetric()
     if not symmetry_ok:
         failures.append("tADB not symmetric")
 
@@ -209,7 +209,6 @@ def correspondence_report(k: int) -> CorrespondenceReport:
     if not block_ok:
         failures.append("block structure violated")
 
-    DB = build_D(k) @ build_B(k)
     image = [normalize_vector(DB.mul_vec(v)) for v in ker_A]
     duality_span_ok = same_span(image, ker_tA)
     if not duality_span_ok:
@@ -226,6 +225,6 @@ def correspondence_report(k: int) -> CorrespondenceReport:
         dim_ker_A=len(ker_A), dim_ker_tA=len(ker_tA), dims_agree=dims_agree,
         symbolic_agrees=symbolic_agrees, symmetry_ok=symmetry_ok,
         block_ok=block_ok, duality_span_ok=duality_span_ok,
-        q_equals_DBa=q_equals_DBa, matrix_A=A, ker_A=ker_A, ker_tA=ker_tA,
+        q_equals_DBa=q_equals_DBa, ker_A=ker_A, ker_tA=ker_tA,
         failures=failures,
     )

@@ -26,14 +26,6 @@ def check_word(w: str) -> str:
     return w
 
 
-def weight(w: Word) -> int:
-    return len(w)
-
-
-def depth(w: Word) -> int:
-    return w.count("y")
-
-
 def is_convergent(w: Word) -> bool:
     """True iff w = x.v.y; the empty word is not convergent."""
     return len(w) >= 2 and w[0] == "x" and w[-1] == "y"
@@ -82,13 +74,6 @@ class NcPoly:
     def words(self) -> Iterator[Word]:
         return iter(sorted(self.terms, key=word_key))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
     def poly_weight(self) -> int | None:
         """Common weight of all terms, or None for the zero polynomial."""
         if not self.terms:
@@ -97,12 +82,6 @@ class NcPoly:
         if len(lengths) != 1:
             raise ValueError("polynomial is not weight-homogeneous")
         return lengths.pop()
-
-    def poly_depth(self) -> float:
-        """Minimal number of y's in a stored word; inf for the zero polynomial."""
-        if not self.terms:
-            return math.inf
-        return min(w.count("y") for w in self.terms)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -204,11 +183,6 @@ def format_terms(terms: Iterable[tuple], sep: str = "") -> str:
         else:
             out = f"-{body}" if c < 0 else body
     return out or "0"
-
-
-def coeff(f: NcPoly, w: Word) -> Rational:
-    """The pairing (f | w)."""
-    return f.coeff(w)
 
 
 def pair(f: NcPoly, g: NcPoly) -> Rational:

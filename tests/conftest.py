@@ -86,6 +86,42 @@ def fraction_stuffle_relation(u, v):
     return ZetaCombo._wrap(out)
 
 
+def necklace_count(n):
+    """Lyndon words of length n over two letters, that is dim Lie_n[x, y],
+    by the necklace formula (1/n) sum_{d | n} mu(d) 2^(n/d)."""
+    def mobius(d):
+        result, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                result = -result
+            p += 1
+        return -result if d > 1 else result
+
+    return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def satisfies_period_equations(P):
+    """Both functional equations of E_k, P(X) + X^(k-2) P(1/X) = 0 and
+    P(X) + X^(k-2) P(1 - 1/X) + (X - 1)^(k-2) P(1/(1 - X)) = 0, evaluated in
+    Fractions at X = 2 .. k+1.  Each left side times the cleared powers is a
+    polynomial of degree <= k-2, so k distinct roots make it zero.  Shares
+    no code with ek_basis, which builds the equations coefficient-wise."""
+    k = P.k
+
+    def p(x):
+        return sum(c * x ** (2 * i) for i, c in enumerate(P.coeffs, 1))
+
+    for x in map(Fraction, range(2, k + 2)):
+        if p(x) + x ** (k - 2) * p(1 / x):
+            return False
+        if p(x) + x ** (k - 2) * p(1 - 1 / x) + (x - 1) ** (k - 2) * p(1 / (1 - x)):
+            return False
+    return True
+
+
 def reconstruct_rational(x, max_denominator=10 ** 6):
     """Best continued-fraction approximation of x with denominator at most
     max_denominator: the guess relations.gkz_scalar replaced, right only

@@ -134,8 +134,8 @@ def test_criterion_09_numeric_weight12():
 
 
 def test_criterion_10_regularization():
-    assert shuffle_regularize("x").is_zero()
-    assert shuffle_regularize("y").is_zero()
+    assert not shuffle_regularize("x")
+    assert not shuffle_regularize("y")
     # Euler: Z(2,1) - Z(3) lies in the span of the weight-3 stuffle relations
     rels = weight_relations(3)
     symbols = ["xxy", "xyy"]  # Z(3), Z(2,1)

@@ -49,6 +49,11 @@ def test_zeta_double_stuffle_numeric():
         assert abs(lhs - rhs) < mp.mpf(10) ** -28
 
 
+def test_verify_relation_rejects_terms_off_weight():
+    with pytest.raises(ValueError):
+        verify_relation(Relation(12, "double_zeta", (((9, 4), 1),)), 30)
+
+
 def test_zeta_double_guards():
     with pytest.raises(ValueError):
         zeta_double(1, 2, 30)

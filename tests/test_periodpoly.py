@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import satisfies_period_equations
 from dshuffle.linalg import build_B, build_D
-from dshuffle.periodpoly import (PeriodPoly, a_vector,
-                                 check_functional_equations, ek_basis,
-                                 ek_dim_formula, q_vector)
+from dshuffle.periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
 
 
 def test_dim_formula_table():
@@ -39,7 +38,7 @@ def test_basis_satisfies_functional_equations():
     for k in range(12, 30, 2):
         for P in ek_basis(k):
             assert P.is_antisymmetric()
-            assert check_functional_equations(P)
+            assert satisfies_period_equations(P)
             assert P.coeffs[0] == 0 or P.coeffs[0] > 0
             assert all(c.denominator == 1 for c in P.coeffs)
 
@@ -47,10 +46,10 @@ def test_basis_satisfies_functional_equations():
 def test_non_solution_fails_functional_equations():
     P = PeriodPoly(12, (1, 0, 0, -1))
     assert P.is_antisymmetric()
-    assert not check_functional_equations(P)
+    assert not satisfies_period_equations(P)
     Q = PeriodPoly(12, (1, 2, 3, 4))
     assert not Q.is_antisymmetric()
-    assert not check_functional_equations(Q)
+    assert not satisfies_period_equations(Q)
 
 
 def test_constructor_validation():

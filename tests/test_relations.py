@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from dshuffle import relations
-from dshuffle.linalg import build_A, kernel, same_span
+from dshuffle import linalg, relations
+from dshuffle.linalg import Mat, build_A, kernel, same_span
 from dshuffle.periodpoly import PeriodPoly
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, gkz_scalar, ihara_relations)
@@ -96,6 +97,20 @@ def test_gkz_scalar_rejects_a_single_double_zeta(k):
         gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 1),)))
 
 
+@pytest.mark.parametrize("terms", [
+    (((9, 4), 1),),                      # weight 13 in a weight-12 relation
+    (((9, 3), 1), ((1, 11), 1)),         # Z(1, 11) diverges
+    (((12, 0), 1),),                     # not a double zeta
+])
+def test_gkz_scalar_rejects_terms_off_weight_before_building(monkeypatch, terms):
+    def forbidden(*args):
+        raise AssertionError("built the formal space for a malformed relation")
+    monkeypatch.setattr(relations, "stuffle_relation", forbidden)
+    monkeypatch.setattr(relations, "kernel", forbidden)
+    with pytest.raises(ValueError, match="weight 12"):
+        gkz_scalar(Relation(12, "double_zeta", terms))
+
+
 def test_relation_counts_match_dimension():
     from dshuffle.periodpoly import ek_dim_formula
     for k in range(12, 32, 2):
@@ -105,7 +120,7 @@ def test_relation_counts_match_dimension():
 
 def test_relation_json_schema():
     for rel in ihara_relations(12) + gkz_relations(12) + gkz_relations(24):
-        doc = json.loads(rel.to_json())
+        doc = json.loads(json.dumps(rel.to_dict()))
         jsonschema.validate(doc, RELATION_SCHEMA)
 
 
@@ -141,6 +156,31 @@ def test_report_checks_ker_A_is_a_of_basis(monkeypatch):
     assert rep.dims_agree
     assert not rep.all_ok
     assert "Ker A != a(E_k)" in rep.failures
+
+
+def test_report_builds_each_matrix_once(monkeypatch):
+    calls = Counter()
+    for name in ("build_A", "build_D", "build_B"):
+        def spy(k, name=name, original=getattr(linalg, name)):
+            calls[name] += 1
+            return original(k)
+        monkeypatch.setattr(linalg, name, spy)
+        monkeypatch.setattr(relations, name, spy)
+    assert correspondence_report(24).all_ok
+    # one A for the report, one inside conjugate_M
+    assert calls["build_A"] <= 2
+    assert calls["build_D"] == calls["build_B"] == 1
+
+
+def test_report_checks_symmetry(monkeypatch):
+    def skewed_B(k):
+        rows = [list(r) for r in linalg.build_B(k).rows]
+        rows[0][1] += 1
+        return Mat(rows)
+    monkeypatch.setattr(relations, "build_B", skewed_B)
+    rep = correspondence_report(12)
+    assert not rep.symmetry_ok
+    assert "tADB not symmetric" in rep.failures
 
 
 def test_report_weight14_zero_dimensional():
