@@ -12,11 +12,20 @@ Entries stay ints unless a division (D, the pivot rows of an rref, and so
 inverses) makes a Fraction.  Products are fraction-free: each row of the
 left factor and each column of the right one is cleared of denominators
 once, dot products are taken in ints, and each entry is divided once, by
-row scale x column scale.  Elimination is fraction-free Gauss-Jordan, one
-primitive int row at a time; it yields the unique reduced row echelon form
-of the row space, so kernel bases are reproducible whatever the row order.
-Kernel vectors are canonicalized to int entries, content 1, first nonzero
-positive.
+row scale x column scale.  Elimination (rref, rank) is fraction-free
+Gauss-Jordan, one primitive int row at a time; it yields the unique reduced
+row echelon form of the row space.
+
+A kernel is found from the other side, by cutting the identity: an int basis
+K of Q^ncols loses one vector per independent row of the matrix, and a
+dependent row costs |K| dot products and nothing else.  Every matrix the
+correspondence and the solvers hand to kernel is tall or square with a small
+kernel (ds_solve at weight 9: 508 x 56, rank 55), so |K| is small for almost
+every row.  Wide matrices are the slow case, as K then stays large: a random
+20 x 80 takes about twice as long as by elimination, and no caller builds
+that shape.  K ends in a reduced echelon form of its own, so kernel bases are
+canonical, and reproducible whatever the row order: int entries, content 1,
+first nonzero positive, one vector per free column.
 """
 
 from __future__ import annotations
@@ -127,8 +136,8 @@ def _reduced_basis(rows) -> dict:
     in the basis row) is reduced in one pass to den v - sum f (den/d) row_c
     over its content, den the lcm of those d.  If nothing is left it is
     dropped; otherwise its first nonzero column is a new pivot, cleared from
-    each basis row (entry f) as (e/g) row - (f/g) v over content, with e the
-    new pivot entry and g = gcd(e, f)."""
+    each basis row (entry f) as _cut(row, f, v, e), with e the new pivot
+    entry."""
     basis: dict = {}
     for v in rows:
         hits = [(c, f) for c in basis if (f := v[c])]
@@ -144,11 +153,17 @@ def _reduced_basis(rows) -> dict:
         for c, row in basis.items():
             f = row[p]
             if f:
-                g = math.gcd(e, f)
-                a, b = e // g, f // g
-                basis[c] = _content_free([a * x - b * y for x, y in zip(row, v)])
+                basis[c] = _cut(row, f, v, e)
         basis[p] = v
     return basis
+
+
+def _cut(row: list, f: int, v: list, e: int) -> list:
+    """(e/g) row - (f/g) v over its content, g = gcd(e, f): zero under every
+    linear form that is f on row and e on v."""
+    g = math.gcd(e, f)
+    a, b = e // g, f // g
+    return _content_free([a * x - b * y for x, y in zip(row, v)])
 
 
 def _primitive(v: Sequence) -> list:
@@ -170,18 +185,35 @@ def normalize_vector(v: Sequence) -> list:
 
 
 def kernel(M: Mat) -> list:
-    """Canonical basis of the right null space of M."""
-    red, pivots = M.rref()
-    nc = M.ncols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * nc
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][fc]
-        basis.append(normalize_vector(v))
-    return basis
+    """Canonical basis of the right null space of M: int entries, content 1,
+    first nonzero positive, one vector per free column c of the rref of M,
+    zero at the other free columns and after c, listed by c.
+
+    K starts as the int identity basis of Q^ncols, and each of its vectors
+    owns the column of the unit vector it started as.  For each int row v of
+    M, t_j = v . k_j.  If every t_j is 0, v lies in the row space already and
+    K stays.  Otherwise the first k_j0 with t_j0 != 0 is dropped and every
+    other k_j becomes _cut(k_j, t_j, k_j0, t_j0), which v annihilates.
+    Throughout, K spans the null space of the rows seen so far, and each k_j
+    is nonzero at its own column, zero at the columns the others own and at
+    every later column.  Such a basis is unique up to scaling, so the columns
+    still owned at the end are the free ones and K, normalized, is the
+    canonical basis.  Once K is empty, no later row can change it."""
+    n = M.ncols
+    K = [[int(i == j) for j in range(n)] for i in range(n)]
+    for row in M.rows:
+        if not K:
+            break
+        v = scaled(row)[0]
+        ts = [sum(map(mul, v, k)) for k in K]
+        j0 = next((j for j, t in enumerate(ts) if t), None)
+        if j0 is None:
+            continue
+        e, k0 = ts.pop(j0), K.pop(j0)
+        for j, t in enumerate(ts):
+            if t:
+                K[j] = _cut(K[j], t, k0, e)
+    return [normalize_vector(k) for k in K]
 
 
 def same_span(vs: list, ws: list) -> bool:

@@ -145,7 +145,10 @@ def accumulate(acc: dict, terms: Mapping, c=1) -> dict:
 
 
 def scaled(v: Collection[Rational]) -> tuple:
-    """(ints, scale) with v = ints / scale, scale the lcm of the denominators."""
+    """(ints, scale) with v = ints / scale, scale the lcm of the denominators:
+    a new list and scale 1 when every entry is an int."""
+    if set(map(type, v)) <= {int}:
+        return list(v), 1
     den = math.lcm(*(c.denominator for c in v))
     return [c.numerator * (den // c.denominator) for c in v], den
 

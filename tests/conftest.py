@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -62,6 +63,27 @@ def fraction_rref(rows):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def fraction_kernel(rows):
+    """The kernel linalg.kernel replaced, read off fraction_rref: for each
+    free column c in turn, the vector that is 1 at c, 0 at the other free
+    columns and minus the reduced entry of column c at each pivot column,
+    scaled to coprime ints with its first nonzero entry positive."""
+    red, pivots = fraction_rref(rows)
+    nc = len(rows[0]) if rows else 0
+    basis = []
+    for c in range(nc):
+        if c in pivots:
+            continue
+        v = [Fraction(int(j == c)) for j in range(nc)]
+        for r, p in enumerate(pivots):
+            v[p] = -Fraction(red[r][c])
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (den // x.denominator) for x in v]
+        g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+        basis.append([x // g for x in ints])
+    return basis
 
 
 def fraction_matmul(a_rows, b_rows):

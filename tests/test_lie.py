@@ -163,7 +163,7 @@ def test_ds_solve_dimensions():
 def test_ds_solve_dimensions_independent_oracle():
     # re-derive the dimension by plain elimination on the full constraint
     # matrix, bypassing the package's kernel routine
-    for n in range(3, 8):
+    for n in range(3, 9):
         basis = lie_basis(n)
         rows = [[pair(b, stuffle(u, v)) for b in basis]
                 for u, v in admissible_stuffle_pairs(n)]

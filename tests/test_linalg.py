@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_matmul, fraction_rref, rationals, rref_rank
+from conftest import (fraction_kernel, fraction_matmul, fraction_rref,
+                      rationals, rref_rank)
+from dshuffle import linalg, periodpoly, relations
 from dshuffle.lie import ds_solve
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, build_S, build_T, conjugate_M,
                              kernel, normalize_vector, same_span,
                              symmetry_product)
+from dshuffle.periodpoly import ek_basis
 from dshuffle.regularization import fz_quotient_dim, sh_basis_dim
+from dshuffle.relations import correspondence_report, gkz_relations, gkz_scalar
 
 A12 = Mat([
     [1, 6, 15, 28],
@@ -55,16 +59,20 @@ def test_rank_matches_plain_elimination(M):
 
 
 @st.composite
-def _rational_rows(draw):
-    """Up to 6 x 6, tall or wide, mixing int and Fraction entries, zero rows
-    and rows that are combinations of earlier ones."""
-    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entries = st.one_of(st.just(0), st.integers(-9, 9), rationals())
+def _rational_rows(draw, min_rows=1, max_dim=6):
+    """Up to max_dim x max_dim, tall, square or wide, mixing int and Fraction
+    entries (Fraction(n, 1) among them), zero rows, duplicate rows and rows
+    that are combinations of earlier ones."""
+    nr, nc = draw(st.integers(min_rows, max_dim)), draw(st.integers(1, max_dim))
+    entries = st.one_of(st.just(0), st.integers(-9, 9), rationals(),
+                        st.integers(-9, 9).map(lambda n: Fraction(n, 1)))
     rows = []
     for _ in range(nr):
-        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "combination"]))
         if kind == "zero":
             rows.append([0] * nc)
+        elif kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
         elif kind == "combination" and rows:
             a, b = draw(rationals()), draw(rationals())
             u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
@@ -91,10 +99,10 @@ def test_rref_is_row_order_invariant(rows, data):
     assert (red.rows, pivots) == fraction_rref(rows)
 
 
-@pytest.mark.parametrize("solve, n", [(ds_solve, 7), (ds_solve, 8), (fz_quotient_dim, 7),
-                                      (sh_basis_dim, 6)])
+@pytest.mark.parametrize("solve, n", [(fz_quotient_dim, 7), (sh_basis_dim, 6)])
 def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
-    # sh_basis_dim asks only for a rank, which counts pivots without rref
+    # sh_basis_dim asks only for a rank, which counts pivots without rref;
+    # ds_solve asks for a kernel, checked on the real traffic below
     rref, rank = Mat.rref, Mat.rank
     seen = []
 
@@ -112,6 +120,50 @@ def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
         red, pivots = rref(Mat(rows))
         assert (red.rows, pivots) == fraction_rref(rows)
         assert rank(Mat(rows)) == rref_rank(rows)
+
+
+@given(_rational_rows(min_rows=0, max_dim=8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_oracle(rows, data):
+    # kernel cuts the identity row by row, so its intermediate basis depends
+    # on the row order; the canonical basis it returns must not
+    expected = fraction_kernel(rows)
+    assert kernel(Mat(rows)) == expected
+    assert kernel(Mat(data.draw(st.permutations(rows)))) == expected
+
+
+def test_kernel_of_empty_and_zero_matrices():
+    assert kernel(Mat([])) == fraction_kernel([]) == []
+    assert kernel(Mat([[0, 0, 0]] * 2)) == fraction_kernel([[0, 0, 0]] * 2) == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _gkz_scalars(k):
+    for rel in gkz_relations(k):
+        gkz_scalar(rel)
+
+
+@pytest.mark.parametrize("call, arg", [
+    (ds_solve, 7), (ds_solve, 8), (ds_solve, 9),
+    (ek_basis, 12), (ek_basis, 40), (ek_basis, 60),
+    (correspondence_report, 12), (correspondence_report, 24), (correspondence_report, 40),
+    (_gkz_scalars, 16),
+], ids=lambda p: getattr(p, "__name__", str(p)).lstrip("_"))
+def test_kernel_matches_fraction_oracle_on_real_traffic(monkeypatch, call, arg):
+    # every kernel the solver, the period basis, the report and the exact
+    # scalars ask for; ds_solve imports kernel from linalg when called
+    seen = []
+
+    def spy(M):
+        seen.append((M.rows, kernel(M)))
+        return seen[-1][1]
+
+    for module in (linalg, relations, periodpoly):
+        monkeypatch.setattr(module, "kernel", spy)
+    call(arg)
+    assert seen
+    for rows, ker in seen:
+        assert ker == fraction_kernel(rows)
 
 
 def _mixed_rows(nrows, ncols):

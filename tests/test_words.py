@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nc_polys, words, y_words
+from conftest import nc_polys, rationals, words, y_words
 from dshuffle.words import (NcPoly, composition_of_word, concat,
                             format_rational, is_convergent, pair,
-                            pi_convergent, shuffle, shuffle_poly, stuffle,
-                            word_of_composition, words_of_weight)
+                            pi_convergent, scaled, shuffle, shuffle_poly,
+                            stuffle, word_of_composition, words_of_weight)
 
 
 def test_coeff_lookup():
@@ -217,3 +217,28 @@ def test_scale_rejects_non_rational():
         f * NcPoly.word("y")
     with pytest.raises(TypeError):
         f.scale(0.5)
+
+
+def test_scaled_int_vector_is_a_new_list_with_scale_1():
+    v = [3, 0, -6]
+    ints, scale = scaled(v)
+    assert (ints, scale) == ([3, 0, -6], 1)
+    ints[0] = 99
+    assert v == [3, 0, -6]
+    assert scaled((4, 5)) == ([4, 5], 1)
+    assert scaled([]) == ([], 1)
+
+
+def test_scaled_fraction_n_over_1_comes_back_as_int():
+    ints, scale = scaled([Fraction(4, 1), 2, Fraction(-3, 1)])
+    assert (ints, scale) == ([4, 2, -3], 1)
+    assert all(type(c) is int for c in ints)
+    assert scaled([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals()), max_size=6))
+def test_scaled_clears_denominators_by_their_lcm(v):
+    ints, scale = scaled(v)
+    assert scale == math.lcm(*(Fraction(c).denominator for c in v))
+    assert all(type(c) is int for c in ints)
+    assert [Fraction(n, scale) for n in ints] == v
