@@ -8,24 +8,23 @@ used by the period-polynomial / double-zeta correspondence:
     M       T^-1 A T, with its identity/zero block structure
     tADB    the symmetric product
 
-Entries stay ints unless a division (D, the pivot rows of an rref, and so
+Entries stay ints unless a division (D, M, the pivot rows of an rref, and so
 inverses) makes a Fraction.  Products are fraction-free: each row of the
 left factor and each column of the right one is cleared of denominators
 once, dot products are taken in ints, and each entry is divided once, by
-row scale x column scale.  Elimination (rref, rank) is fraction-free
-Gauss-Jordan, one primitive int row at a time; it yields the unique reduced
-row echelon form of the row space.
+row scale x column scale.
 
-A kernel is found from the other side, by cutting the identity: an int basis
-K of Q^ncols loses one vector per independent row of the matrix, and a
-dependent row costs |K| dot products and nothing else.  Every matrix the
-correspondence and the solvers hand to kernel is tall or square with a small
-kernel (ds_solve at weight 9: 508 x 56, rank 55), so |K| is small for almost
-every row.  Wide matrices are the slow case, as K then stays large: a random
-20 x 80 takes about twice as long as by elimination, and no caller builds
-that shape.  K ends in a reduced echelon form of its own, so kernel bases are
-canonical, and reproducible whatever the row order: int entries, content 1,
-first nonzero positive, one vector per free column.
+There is one elimination, kernel, and it works by cutting the identity: an
+int basis K of Q^ncols loses one vector per independent row of the matrix,
+and a dependent row costs |K| dot products, each over the row's nonzero
+columns only.  K ends in a reduced echelon form of its own, so kernel bases
+are canonical, and reproducible whatever the row order: int entries, content
+1, first nonzero positive, one vector per free column.  rref reads the
+unique reduced row echelon form off that basis, and rank is ncols - dim
+kernel of whichever of M and M^t has fewer columns.  Every matrix the
+correspondence and the solvers hand to kernel or rref is tall or square
+with a small kernel (ds_solve at weight 9: 508 x 56, rank 55), so |K| is
+small for almost every row.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -79,20 +79,36 @@ class Mat:
 
     def rref(self) -> tuple:
         """The unique reduced row echelon form; returns (Mat, pivot column
-        list).  It is found row by row (see _reduced_basis) on coprime int
-        rows; pivot rows become Fractions, over their pivot entry, only at the
-        end, and the zero rows follow them as ints."""
-        basis = sorted(_reduced_basis(map(_primitive, self.rows)).items())
-        zero = Fraction(0)
-        red = [[Fraction(x, row[c]) if x else zero for x in row] for c, row in basis]
-        zeros = [[0] * self.ncols for _ in range(self.nrows - len(basis))]
-        return Mat(red + zeros), [c for c, _ in basis]
+        list).  It is read off the canonical kernel basis: each k_f is nonzero
+        at its free column f, its last nonzero entry, and zero at the other
+        free columns, so the pivots are the other columns, and pivot row p is
+        1 at p, 0 at the other pivots and -k_f[p] / k_f[f] at each free f.
+        Pivot rows hold Fractions, and the zero rows follow them as ints."""
+        n = self.ncols
+        free = {max(compress(range(n), k)): k for k in kernel(self)}
+        pivots = [p for p in range(n) if p not in free]
+        zero, one = Fraction(0), Fraction(1)
+        red = []
+        for p in pivots:
+            row = [zero] * n
+            row[p] = one
+            for f, k in free.items():
+                if k[p]:
+                    row[f] = Fraction(-k[p], k[f])
+            red.append(row)
+        zeros = [[0] * n for _ in range(self.nrows - len(pivots))]
+        return Mat(red + zeros), pivots
 
     def rank(self) -> int:
-        """The number of pivots, from the elimination alone: no Fractions."""
-        return len(_reduced_basis(map(_primitive, self.rows)))
+        """ncols - dim kernel, taken on whichever of M and M^t has fewer
+        columns, as kernel starts from one vector per column."""
+        M = self.transpose() if self.nrows < self.ncols else self
+        return M.ncols - len(kernel(M))
 
     def inverse(self) -> "Mat":
+        """The inverse, read off the rref of [M | I].  Nothing in the
+        package calls it; it stays because the benchmark's traced layers
+        name it."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
@@ -129,46 +145,12 @@ def _content_free(ints: list) -> list:
     return [c // g for c in ints] if g > 1 else ints
 
 
-def _reduced_basis(rows) -> dict:
-    """Fraction-free Gauss-Jordan, one int row at a time, onto a basis
-    {pivot column: coprime int row}; each basis row leads at its pivot and is
-    zero at every other pivot.  A row v touching pivots c (entry f there, d
-    in the basis row) is reduced in one pass to den v - sum f (den/d) row_c
-    over its content, den the lcm of those d.  If nothing is left it is
-    dropped; otherwise its first nonzero column is a new pivot, cleared from
-    each basis row (entry f) as _cut(row, f, v, e), with e the new pivot
-    entry."""
-    basis: dict = {}
-    for v in rows:
-        hits = [(c, f) for c in basis if (f := v[c])]
-        if hits:
-            den = math.lcm(*(basis[c][c] for c, _ in hits))
-            ms = [f * (den // basis[c][c]) for c, f in hits]
-            cols = zip(*(basis[c] for c, _ in hits))
-            v = _content_free([den * x - sum(map(mul, ms, col)) for x, col in zip(v, cols)])
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        e = v[p]
-        for c, row in basis.items():
-            f = row[p]
-            if f:
-                basis[c] = _cut(row, f, v, e)
-        basis[p] = v
-    return basis
-
-
 def _cut(row: list, f: int, v: list, e: int) -> list:
     """(e/g) row - (f/g) v over its content, g = gcd(e, f): zero under every
     linear form that is f on row and e on v."""
     g = math.gcd(e, f)
     a, b = e // g, f // g
     return _content_free([a * x - b * y for x, y in zip(row, v)])
-
-
-def _primitive(v: Sequence) -> list:
-    """The positive rational multiple of v with coprime int entries."""
-    return _content_free(scaled(v)[0])
 
 
 def _products(rows: Sequence, cols: list) -> list:
@@ -180,7 +162,7 @@ def _products(rows: Sequence, cols: list) -> list:
 
 def normalize_vector(v: Sequence) -> list:
     """Scale to int entries, content 1, first nonzero entry positive."""
-    ints = _primitive(v)
+    ints = _content_free(scaled(v)[0])
     return [-c for c in ints] if next((c for c in ints if c), 0) < 0 else ints
 
 
@@ -191,21 +173,25 @@ def kernel(M: Mat) -> list:
 
     K starts as the int identity basis of Q^ncols, and each of its vectors
     owns the column of the unit vector it started as.  For each int row v of
-    M, t_j = v . k_j.  If every t_j is 0, v lies in the row space already and
-    K stays.  Otherwise the first k_j0 with t_j0 != 0 is dropped and every
-    other k_j becomes _cut(k_j, t_j, k_j0, t_j0), which v annihilates.
-    Throughout, K spans the null space of the rows seen so far, and each k_j
-    is nonzero at its own column, zero at the columns the others own and at
-    every later column.  Such a basis is unique up to scaling, so the columns
-    still owned at the end are the free ones and K, normalized, is the
-    canonical basis.  Once K is empty, no later row can change it."""
+    M, t_j = v . k_j, summed over the nonzero entries of v.  If every t_j is
+    0, v lies in the row space already and K stays.  Otherwise the first k_j0
+    with t_j0 != 0 is dropped and every other k_j becomes
+    _cut(k_j, t_j, k_j0, t_j0), which v annihilates.  Throughout, K spans the
+    null space of the rows seen so far, and each k_j is nonzero at its own
+    column, zero at the columns the others own and at every later column.
+    Such a basis is unique up to scaling, so the columns still owned at the
+    end are the free ones and K, normalized, is the canonical basis.  Once K
+    is empty, no later row can change it.  A unit row at column c meets only
+    the k_j nonzero at c; when that is one vector, it is dropped and nothing
+    is cut."""
     n = M.ncols
     K = [[int(i == j) for j in range(n)] for i in range(n)]
     for row in M.rows:
         if not K:
             break
         v = scaled(row)[0]
-        ts = [sum(map(mul, v, k)) for k in K]
+        cols, xs = list(compress(range(n), v)), list(compress(v, v))
+        ts = [sum(map(mul, xs, map(k.__getitem__, cols))) for k in K]
         j0 = next((j for j, t in enumerate(ts) if t), None)
         if j0 is None:
             continue
@@ -305,9 +291,14 @@ def build_B(k: int) -> Mat:
 
 
 def conjugate_M(k: int) -> Mat:
-    """M = T^-1 A T."""
+    """M = T^-1 A T.  The columns t_j of T are pairwise orthogonal, so
+    T^-1 = diag(1/|t_j|^2) T^t: M is the int product T^t A T with row j
+    divided by |t_j|^2, and nothing is eliminated."""
     T = build_T(k)
-    return T.inverse() @ build_A(k) @ T
+    Tt = T.transpose()
+    norms = [sum(map(mul, t, t)) for t in Tt.rows]
+    return Mat([[unscaled(x, s) for x in row]
+                for row, s in zip((Tt @ build_A(k) @ T).rows, norms)])
 
 
 def block_check(M: Mat, k: int) -> bool:

@@ -185,8 +185,9 @@ def sh_basis_dim(n: int) -> int:
     """Dimension of the weight-n space of polynomials annihilated by all
     shuffle-regularization relation rows w - reg(w), w non-convergent;
     equals 2^(n-2).  The columns put the non-convergent words first, so the
-    matrix is [I | -R] and each row leads at its own word: the elimination
-    that finds the rank never fills in."""
+    matrix is [I | -R].  It is wide, so rank takes the kernel of its
+    transpose, whose leading rows are the unit rows of I: each drops one
+    vector of K and cuts none, and K is empty once they are through."""
     if not 2 <= n <= 8:
         raise ValueError("2 <= n <= 8")
     from .linalg import Mat

@@ -42,7 +42,7 @@ def fraction_rref(rows):
     """Column-by-column Gauss-Jordan elimination over Fractions (first
     nonzero column, topmost nonzero row): (reduced rows, pivot columns), with
     the zero rows kept at the bottom.  The reduced form of a row space is
-    unique, so Mat.rref, which works row by row, must return the same."""
+    unique, so Mat.rref, which reads it off a kernel, must return the same."""
     rows = [list(r) for r in rows]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
@@ -84,6 +84,17 @@ def fraction_kernel(rows):
         g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
         basis.append([x // g for x in ints])
     return basis
+
+
+def fraction_inverse(rows):
+    """The inverse of a square matrix, read off fraction_rref of [M | I]:
+    the right half of the reduced rows, once the left half is the identity."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = fraction_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in red]
 
 
 def fraction_matmul(a_rows, b_rows):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fraction_kernel, fraction_matmul, fraction_rref,
-                      rationals, rref_rank)
+from conftest import (fraction_inverse, fraction_kernel, fraction_matmul,
+                      fraction_rref, rationals, rref_rank)
 from dshuffle import linalg, periodpoly, relations
 from dshuffle.lie import ds_solve
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
@@ -52,6 +53,22 @@ def test_rref_and_rank():
     assert red.rows[2] == [0, 0, 0]
 
 
+def test_rref_and_rank_read_the_kernel(monkeypatch):
+    # rref takes the kernel of M, rank that of whichever of M and M^t has
+    # fewer columns
+    shapes = []
+
+    def spy(M):
+        shapes.append((M.nrows, M.ncols))
+        return kernel(M)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    wide = Mat([[1, 2, 3, 4], [0, 1, 1, 1]])
+    assert wide.rank() == wide.transpose().rank() == 2
+    assert wide.rref()[1] == [0, 1]
+    assert shapes == [(4, 2), (4, 2), (2, 4)]
+
+
 @given(_mats())
 @settings(max_examples=40)
 def test_rank_matches_plain_elimination(M):
@@ -61,16 +78,20 @@ def test_rank_matches_plain_elimination(M):
 @st.composite
 def _rational_rows(draw, min_rows=1, max_dim=6):
     """Up to max_dim x max_dim, tall, square or wide, mixing int and Fraction
-    entries (Fraction(n, 1) among them), zero rows, duplicate rows and rows
-    that are combinations of earlier ones."""
+    entries (Fraction(n, 1) among them), zero rows, unit rows (one nonzero
+    entry), duplicate rows and rows that are combinations of earlier ones."""
     nr, nc = draw(st.integers(min_rows, max_dim)), draw(st.integers(1, max_dim))
     entries = st.one_of(st.just(0), st.integers(-9, 9), rationals(),
                         st.integers(-9, 9).map(lambda n: Fraction(n, 1)))
     rows = []
     for _ in range(nr):
-        kind = draw(st.sampled_from(["random", "zero", "duplicate", "combination"]))
+        kind = draw(st.sampled_from(["random", "zero", "unit", "duplicate", "combination"]))
         if kind == "zero":
             rows.append([0] * nc)
+        elif kind == "unit":
+            row = [0] * nc
+            row[draw(st.integers(0, nc - 1))] = draw(entries.filter(bool))
+            rows.append(row)
         elif kind == "duplicate" and rows:
             rows.append(list(draw(st.sampled_from(rows))))
         elif kind == "combination" and rows:
@@ -101,8 +122,9 @@ def test_rref_is_row_order_invariant(rows, data):
 
 @pytest.mark.parametrize("solve, n", [(fz_quotient_dim, 7), (sh_basis_dim, 6)])
 def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
-    # sh_basis_dim asks only for a rank, which counts pivots without rref;
-    # ds_solve asks for a kernel, checked on the real traffic below
+    # fz_quotient_dim asks for an rref of a tall matrix and sh_basis_dim for
+    # the rank of a wide one, read off the kernel of its transpose; ds_solve
+    # asks for a kernel, checked on the real traffic below
     rref, rank = Mat.rref, Mat.rank
     seen = []
 
@@ -190,11 +212,14 @@ def test_matmul_matches_fraction_oracle(factors):
 
 
 def test_correspondence_products_match_fraction_oracle():
-    for k in range(12, 41, 2):
+    for k in range(12, 61, 2):
         A, B, D, T = build_A(k), build_B(k), build_D(k), build_T(k)
         tA = A.transpose().rows
+        cols = list(zip(*T.rows))
+        # conjugate_M inverts T by its orthogonal columns
+        assert all(sum(map(mul, s, t)) == 0 for i, s in enumerate(cols) for t in cols[:i])
         assert conjugate_M(k).rows == fraction_matmul(
-            fraction_matmul(T.inverse().rows, A.rows), T.rows)
+            fraction_matmul(fraction_inverse(T.rows), A.rows), T.rows)
         assert symmetry_product(k).rows == fraction_matmul(fraction_matmul(tA, D.rows), B.rows)
         assert (D @ B).rows == fraction_matmul(D.rows, B.rows)
 
@@ -213,6 +238,8 @@ def test_inverse_roundtrip():
     M = Mat([[2, 1], [7, 4]])
     assert M @ M.inverse() == Mat.identity(2)
     assert M.inverse() @ M == Mat.identity(2)
+    T = build_T(18)
+    assert T.inverse().rows == fraction_inverse(T.rows)
     with pytest.raises(ValueError):
         Mat([[1, 1], [1, 1]]).inverse()
 
@@ -291,11 +318,10 @@ def test_S_is_involution_and_T_diagonalizes_it():
         n = S.nrows
         assert S @ S == Mat.identity(n)
         T = build_T(k)
-        D = T.inverse() @ S @ T
+        D = fraction_matmul(fraction_matmul(fraction_inverse(T.rows), S.rows), T.rows)
         neg = (k - 4) // 4 + (1 if k % 4 == 2 else 0)
         diag = [-1] * neg + [1] * (n - neg)
-        assert D == Mat([[Fraction(diag[i]) if i == j else Fraction(0)
-                          for j in range(n)] for i in range(n)])
+        assert D == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_tADB_weight12_golden_and_symmetric():
