@@ -52,7 +52,7 @@ def _cmd_period_basis(args) -> int:
     for P in ek_basis(args.weight):
         print(str(P))
         print("  a =", "(" + ", ".join(format_rational(c) for c in a_vector(P)) + ")")
-        print("  q =", "(" + ", ".join(format_rational(c) for c in q_vector(P).entries) + ")")
+        print("  q =", "(" + ", ".join(format_rational(c) for c in q_vector(P)) + ")")
     return 0
 
 
@@ -114,18 +114,18 @@ def _cmd_ds_solve(args) -> int:
 
 
 def _cmd_regularize(args) -> int:
-    from .regularization import shuffle_regularize, star_regularize
+    from .regularization import shuffle_regularize, star_regularize, zeta_str
     combo = star_regularize(args.word) if args.star else shuffle_regularize(args.word)
-    print(str(combo))
+    print(zeta_str(combo))
     return 0
 
 
 def _cmd_fz_dim(args) -> int:
-    from .regularization import fz_quotient_dim
+    from .regularization import fz_quotient_dim, zeta_str
     dim, basis = fz_quotient_dim(args.weight)
     print(f"dim weight-{args.weight} formal zeta quotient = {dim}")
     for rel in basis:
-        print(f"{rel} = 0")
+        print(f"{zeta_str(rel)} = 0")
     return 0
 
 

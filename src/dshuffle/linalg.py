@@ -204,9 +204,7 @@ def kernel(M: Mat) -> list:
 
 def same_span(vs: list, ws: list) -> bool:
     """Subspace equality via ranks of stacked bases (double inclusion)."""
-    if not vs and not ws:
-        return True
-    if bool(vs) != bool(ws) or len(vs) != len(ws):
+    if len(vs) != len(ws):
         return False
     rv = Mat(vs).rank()
     rw = Mat(ws).rank()

@@ -100,24 +100,13 @@ def a_vector(P: PeriodPoly) -> list:
     return list(P.coeffs)
 
 
-@dataclass(frozen=True)
-class QVector:
-    """Entries q_(2j+1, k-2j-1) for j = 1 .. (k-4)/2."""
-
-    k: int
-    entries: tuple
-
-    def index_pairs(self) -> list:
-        return [(2 * j + 1, self.k - 2 * j - 1)
-                for j in range(1, len(self.entries) + 1)]
-
-
-def q_vector(P: PeriodPoly) -> QVector:
-    """Expand P(X+Y, Y) and divide the coefficient of X^2j Y^(k-2-2j)
-    by C(k-2, 2j): q_(2j+1, k-2j-1) = sum_i p_2i C(2i, 2j) / C(k-2, 2j)."""
+def q_vector(P: PeriodPoly) -> tuple:
+    """The entries q_(2j+1, k-2j-1) for j = 1 .. (k-4)/2: expand P(X+Y, Y)
+    and divide the coefficient of X^2j Y^(k-2-2j) by C(k-2, 2j), so
+    q_(2j+1, k-2j-1) = sum_i p_2i C(2i, 2j) / C(k-2, 2j)."""
     n = len(P.coeffs)
     entries = []
     for j in range(1, n + 1):
         num = sum(P.coeffs[i - 1] * math.comb(2 * i, 2 * j) for i in range(1, n + 1))
         entries.append(num / Fraction(math.comb(P.k - 2, 2 * j)))
-    return QVector(P.k, tuple(entries))
+    return tuple(entries)

@@ -1,11 +1,12 @@
 """Shuffle and star regularization of formal zeta symbols.
 
-Z(w) symbols for convergent words span the regularized shuffle algebra;
-non-convergent words are rewritten onto convergent ones by the double-sum
-shuffle regularization, an algebra map that sends the empty word to the unit
-Z(empty) = 1.  Words ending in y additionally get star values Z*(w), mixed
-from Z and the star units Z*(1, ..., 1), which Newton's identity reads off
-their exponential generating series.
+Z(w) symbols for convergent words span the regularized shuffle algebra; a
+combination of them is an NcPoly on convergent words, with the empty word as
+the unit Z(empty) = 1 and shuffle_poly as the product.  Non-convergent words
+are rewritten onto convergent ones by the double-sum shuffle regularization,
+an algebra map that keeps the unit.  Words ending in y additionally get star
+values Z*(w), mixed from Z and the star units Z*(1, ..., 1), which Newton's
+identity reads off their exponential generating series.
 Setting the regularized stuffle products Z*(u) Z*(v) - Z*(u * v) to zero
 yields the linear relations defining the small-weight formal zeta quotient.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
-from typing import Mapping
 
 from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
                     composition_of_word, format_terms, is_convergent,
@@ -24,44 +23,13 @@ from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
                     stuffle_pairs, unscaled, words_of_weight)
 
 
-class ZetaCombo(NcPoly):
-    """Rational combination of Z(w) symbols for convergent words w; the
-    coefficient of the empty word is the scalar (weight-0 unit) part.
-
-    Arithmetic is NcPoly's and keeps the type of the left operand; sums,
-    multiples and shuffles of ZetaCombos stay on convergent or empty words,
-    so only the constructor checks words."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Word, Rational] | None = None):
-        super().__init__(terms)
-        bad = [w for w in self.terms if w and not is_convergent(w)]
-        if bad:
-            raise ValueError(f"non-convergent symbol: {bad[0]!r}")
-
-    @property
-    def scalar(self) -> Rational:
-        return self.coeff("")
-
-    @classmethod
-    def unit(cls) -> "ZetaCombo":
-        return cls({"": 1})
-
-    @classmethod
-    def symbol(cls, w: Word) -> "ZetaCombo":
-        return cls({w: 1})
-
-    def __mul__(self, other: "ZetaCombo") -> "ZetaCombo":
-        """Shuffle multiplication Z(u) Z(v) = Z(u sh v)."""
-        if type(other) is not type(self):
-            return NotImplemented
-        return shuffle_poly(self, other)
-
-    def __str__(self) -> str:
-        def symbol(w):
-            return f"Z({', '.join(map(str, composition_of_word(w)))})" if w else ""
-        return format_terms(((symbol(w), self.terms[w]) for w in self.words()), " ")
+def zeta_str(f: NcPoly) -> str:
+    """Print a combination of Z symbols as "1 - 3 Z(2) + Z(2, 1)": each
+    convergent word as Z of its composition, the empty word as the bare
+    scalar."""
+    def symbol(w):
+        return f"Z({', '.join(map(str, composition_of_word(w)))})" if w else ""
+    return format_terms(((symbol(w), f.terms[w]) for w in f.words()), " ")
 
 
 def decompose(w: Word) -> tuple:
@@ -75,12 +43,12 @@ def decompose(w: Word) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def shuffle_regularize(w: Word) -> ZetaCombo:
+def shuffle_regularize(w: Word) -> NcPoly:
     """Express Z(w) on convergent words via the double-sum shuffle
     regularization; the identity on already-convergent words, and the unit
     on the empty word, as regularization is an algebra map: Z(empty) = 1."""
     if is_convergent(w) or not w:
-        return ZetaCombo.symbol(w)
+        return NcPoly.word(w)
     r, v, s = decompose(w)
     out: dict = {}
     for a in range(r + 1):
@@ -88,7 +56,7 @@ def shuffle_regularize(w: Word) -> ZetaCombo:
             inner = "y" * (r - a) + v + "x" * (s - b)
             poly = shuffle_poly(shuffle("y" * a, inner), NcPoly.word("x" * b))
             accumulate(out, pi_convergent(poly).terms, -1 if (a + b) % 2 else 1)
-    return ZetaCombo._wrap(out)
+    return NcPoly._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -98,18 +66,18 @@ def star_units(N: int) -> tuple:
     r E_r = sum_{i=2..r} (-1)^(i-1) Z(i) E_(r-i) from E_0 = 1."""
     if N > 12:
         raise ValueError("star units are truncated at weight 12")
-    units = [ZetaCombo.unit()]
+    units = [NcPoly.one()]
     for r in range(1, N + 1):
         out: dict = {}
         for i in range(2, r + 1):
-            term = ZetaCombo.symbol("x" * (i - 1) + "y") * units[r - i]
+            term = shuffle_poly(NcPoly.word("x" * (i - 1) + "y"), units[r - i])
             accumulate(out, term.terms, Fraction((-1) ** (i - 1), r))
-        units.append(ZetaCombo._wrap(out))
+        units.append(NcPoly._wrap(out))
     return tuple(units)
 
 
 @lru_cache(maxsize=None)
-def star_regularize(w: Word) -> ZetaCombo:
+def star_regularize(w: Word) -> NcPoly:
     """Z*(w) for a word ending in y: identity on convergent words, and the
     mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise; since
     Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit.
@@ -118,13 +86,13 @@ def star_regularize(w: Word) -> ZetaCombo:
     if not w or w[-1] != "y":
         raise ValueError(f"star regularization needs a word ending in y: {w!r}")
     if is_convergent(w):
-        return ZetaCombo.symbol(w)
+        return NcPoly.word(w)
     m = len(w) - len(w.lstrip("y"))
     units = star_units(m)
     out: dict = {}
     for r in range(m + 1):
-        accumulate(out, (units[r] * shuffle_regularize(w[r:])).terms)
-    return ZetaCombo._wrap(out)
+        accumulate(out, shuffle_poly(units[r], shuffle_regularize(w[r:])).terms)
+    return NcPoly._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +101,10 @@ def _scaled_star(w: Word) -> tuple:
     by their lcm d, so Z has int coefficients.  Read-only, like the cache."""
     terms = star_regularize(w).terms
     ints, den = scaled(terms.values())
-    return ZetaCombo._wrap(dict(zip(terms, ints))), den
+    return NcPoly._wrap(dict(zip(terms, ints))), den
 
 
-def stuffle_relation(u: Word, v: Word) -> ZetaCombo:
+def stuffle_relation(u: Word, v: Word) -> NcPoly:
     """The relation Z*(u) Z*(v) - Z*(u * v), resolved onto convergent
     symbols; set to zero in the formal zeta quotient.  It is summed in ints
     over the common denominator D of its star terms: the shuffle of the two
@@ -145,14 +113,14 @@ def stuffle_relation(u: Word, v: Word) -> ZetaCombo:
     (zu, du), (zv, dv) = _scaled_star(u), _scaled_star(v)
     stars = [(_scaled_star(w), c) for w, c in stuffle(u, v).terms.items()]
     den = math.lcm(du * dv, *(d for (_, d), _ in stars))
-    out = accumulate({}, (zu * zv).terms, den // (du * dv))
+    out = accumulate({}, shuffle_poly(zu, zv).terms, den // (du * dv))
     for (z, d), c in stars:
         accumulate(out, z.terms, -c * (den // d))
-    return ZetaCombo._wrap({w: unscaled(c, den) for w, c in out.items()})
+    return NcPoly._wrap({w: unscaled(c, den) for w, c in out.items()})
 
 
 def weight_relations(n: int) -> list:
-    """All stuffle relations of weight n as ZetaCombos."""
+    """All nonzero stuffle relations of weight n."""
     out = []
     for u, v in stuffle_pairs(n):
         rel = stuffle_relation(u, v)
@@ -171,13 +139,13 @@ def fz_quotient_dim(n: int) -> tuple:
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
     rows = []
     for rel in weight_relations(n):
-        if rel.scalar:
+        if rel.coeff(""):
             raise ConsistencyError("weight-homogeneous relation grew a scalar part")
         rows.append([rel.coeff(w) for w in symbols])
     if not rows:
         return len(symbols), []
     red, pivots = Mat(rows).rref()
-    basis = [ZetaCombo(dict(zip(symbols, row))) for row in red.rows[: len(pivots)]]
+    basis = [NcPoly(dict(zip(symbols, row))) for row in red.rows[: len(pivots)]]
     return len(symbols) - len(pivots), basis
 
 

@@ -85,15 +85,15 @@ def gkz_relations(k: int) -> List[Relation]:
     out = []
     vecs = []
     for P in ek_basis(k):
-        qv = q_vector(P)
-        q = normalize_vector(qv.entries)
+        q = normalize_vector(q_vector(P))
         if q and q[-1] < 0:
             q = [-c for c in q]
         q = [2 * c for c in q]
         if any(tA.mul_vec(q)):
             raise ConsistencyError("q-vector fell outside Ker tA")
         vecs.append(q)
-        terms = tuple(sorted(zip(qv.index_pairs(), q), key=lambda t: -t[0][0]))
+        pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]
+        terms = tuple(sorted(zip(pairs, q), key=lambda t: -t[0][0]))
         out.append(Relation(weight=k, kind="double_zeta", terms=terms))
     if not same_span(vecs, ker_t):
         raise ConsistencyError("emitted relations do not span Ker tA")
@@ -215,7 +215,7 @@ def correspondence_report(k: int) -> CorrespondenceReport:
         failures.append("Ker tA != DB Ker A")
 
     q_equals_DBa = all(
-        list(q_vector(P).entries) == DB.mul_vec(a_vector(P)) for P in basis
+        list(q_vector(P)) == DB.mul_vec(a_vector(P)) for P in basis
     )
     if not q_equals_DBa:
         failures.append("q_vector != DB a_vector")

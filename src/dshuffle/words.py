@@ -85,16 +85,16 @@ class NcPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    @classmethod
-    def _wrap(cls, terms: dict) -> "NcPoly":
-        """A polynomial of this class on terms that already hold its
-        invariants (checked words, no zero coefficients), taken as is."""
-        res = object.__new__(cls)
+    @staticmethod
+    def _wrap(terms: dict) -> "NcPoly":
+        """A polynomial on terms that already hold its invariants (checked
+        words, no zero coefficients), taken as is."""
+        res = object.__new__(NcPoly)
         res.terms = terms
         return res
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
-        if type(other) is not type(self):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         return self._wrap(accumulate(dict(self.terms), other.terms))
 
@@ -122,7 +122,7 @@ class NcPoly:
         return bool(self.terms)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)})"
+        return f"NcPoly({self})"
 
     def __str__(self) -> str:
         return format_terms((w, self.terms[w]) for w in self.words())
@@ -222,13 +222,12 @@ def shuffle(u: Word, v: Word) -> NcPoly:
 
 
 def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
-    """Bilinear extension of the shuffle product, of the type of f."""
+    """Bilinear extension of the shuffle product."""
     out: dict = {}
     for u, a in f.terms.items():
         for v, b in g.terms.items():
-            # the empty word is the unit, as for the scalar of a ZetaCombo
             accumulate(out, shuffle(u, v).terms if u and v else {u + v: 1}, a * b)
-    return f._wrap(out)
+    return NcPoly._wrap(out)
 
 
 def _y_blocks(w: Word) -> tuple:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 from hypothesis import strategies as st
 
-from dshuffle.regularization import ZetaCombo, star_regularize
-from dshuffle.words import NcPoly, accumulate, stuffle
+from dshuffle.regularization import star_regularize
+from dshuffle.words import NcPoly, accumulate, shuffle_poly, stuffle
 
 
 def words(min_size=0, max_size=6):
@@ -113,10 +113,10 @@ def fraction_stuffle_relation(u, v):
     """The build stuffle_relation replaced: Z*(u) Z*(v) - Z*(u * v) summed
     term by term over the star values as given, so in Fractions wherever one
     holds a Fraction."""
-    out = dict((star_regularize(u) * star_regularize(v)).terms)
+    out = dict(shuffle_poly(star_regularize(u), star_regularize(v)).terms)
     for w, c in stuffle(u, v).terms.items():
         accumulate(out, star_regularize(w).terms, -c)
-    return ZetaCombo._wrap(out)
+    return NcPoly._wrap(out)
 
 
 def necklace_count(n):

@@ -107,7 +107,7 @@ def test_criterion_07_duality():
         image = [normalize_vector(DB.mul_vec(v)) for v in kernel(build_A(k))]
         assert same_span(image, kernel(build_A(k).transpose()))
         for P in ek_basis(k):
-            assert list(q_vector(P).entries) == DB.mul_vec(a_vector(P))
+            assert list(q_vector(P)) == DB.mul_vec(a_vector(P))
     _announce("Ker tA = DB Ker A and q = DB a for 12..40")
 
 

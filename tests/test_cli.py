@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from dshuffle import numzeta
 from dshuffle.cli import main
-from dshuffle.regularization import ZetaCombo
-from dshuffle.words import ConsistencyError
+from dshuffle.words import ConsistencyError, NcPoly
 
 
 def run(capsys, *argv):
@@ -194,7 +193,7 @@ def test_report_bad_range_exit_2(capsys, start, stop):
 @pytest.mark.parametrize("module, name, fake, argv", [
     ("relations", "same_span", lambda vs, ws: False, ["relations", "--weight", "12"]),
     ("periodpoly", "ek_dim_formula", lambda k: -1, ["period-basis", "--weight", "12"]),
-    ("regularization", "weight_relations", lambda n: [ZetaCombo.unit()],
+    ("regularization", "weight_relations", lambda n: [NcPoly.one()],
      ["fz-dim", "--weight", "4"]),
 ])
 def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, argv):

@@ -273,6 +273,7 @@ def test_same_span():
     assert not same_span([[1, 0]], [[0, 1]])
     assert not same_span([[1, 0]], [[1, 0], [0, 1]])
     assert same_span([], [])
+    assert not same_span([], [[1, 0]])
 
 
 def test_A_weight12_golden():

@@ -67,20 +67,24 @@ def test_a_vector_requires_antisymmetry():
 
 def test_q_vector_weight12():
     q = q_vector(ek_basis(12)[0])
-    assert q.index_pairs() == [(3, 9), (5, 7), (7, 5), (9, 3)]
     # q = DB a exactly
     DB = build_D(12) @ build_B(12)
-    assert list(q.entries) == DB.mul_vec([1, -3, 3, -1])
+    assert list(q) == DB.mul_vec([1, -3, 3, -1])
     # primitive integer form of q is (0, 84, 75, 14) up to sign
     from dshuffle.linalg import normalize_vector
-    assert normalize_vector(q.entries) in ([0, 84, 75, 14], [0, -84, -75, -14])
+    assert normalize_vector(q) in ([0, 84, 75, 14], [0, -84, -75, -14])
+    # entry j is q_(2j+1, k-2j-1): the relation pairs each entry with it
+    from dshuffle.relations import gkz_relations
+    terms = sorted(gkz_relations(12)[0].terms)
+    assert [p for p, _ in terms] == [(3, 9), (5, 7), (7, 5), (9, 3)]
+    assert [c for _, c in terms] == [2 * c for c in normalize_vector(q)]
 
 
 def test_q_equals_DB_a_sweep():
     for k in range(12, 32, 2):
         DB = build_D(k) @ build_B(k)
         for P in ek_basis(k):
-            assert list(q_vector(P).entries) == DB.mul_vec(a_vector(P))
+            assert list(q_vector(P)) == DB.mul_vec(a_vector(P))
 
 
 def test_str_zero():
