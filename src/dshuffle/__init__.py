@@ -2,7 +2,7 @@
 relations in the double shuffle Lie algebra and linear relations among
 odd-component double zeta values."""
 
-from .words import NcPoly, concat, pair, pi_convergent, shuffle, stuffle
+from .words import NcPoly, concat, pair, shuffle, stuffle
 from .lie import ad_x_pow, bracket, derivation_apply, ds_check, ds_solve, is_lie, odot, poisson
 from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D, build_S,
                      build_T, block_check, conjugate_M, kernel, symmetry_product)

@@ -92,15 +92,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    allowed = relations.REPORT_WEIGHTS
     weights = range(args.start + args.start % 2, args.stop + 1, 2)
-    if not weights or weights[0] < 12 or weights[-1] > 40:
+    if not weights or not all(k in allowed for k in weights):
         raise ValueError("--from/--to must span at least one even weight, "
-                         "all within 12..40")
+                         f"all within {allowed[0]}..{allowed[-1]}")
     ok = True
     for k in weights:
         rep = relations.correspondence_report(k)
-        ok = ok and rep.all_ok
-        print(json.dumps(rep.to_dict()))
+        ok = ok and rep["all_ok"]
+        print(json.dumps(rep))
     return 0 if ok else 1
 
 

@@ -233,8 +233,6 @@ def build_A_symbolic(k: int) -> Mat:
     """A_ij as the coefficient of x^2i y x^(k-2i-2) y in
     ad_x^2j(y) (.) ad_x^(k-2-2j)(y), the depth-1 truncation pairing."""
     n = _check_weight(k)
-    if k > 30:
-        raise ValueError("symbolic construction is desk-scale: k <= 30")
     from .lie import ad_x_pow, odot
 
     cols = []

@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
-                    composition_of_word, format_terms, is_convergent,
-                    pi_convergent, scaled, shuffle, shuffle_poly, stuffle,
-                    stuffle_pairs, unscaled, words_of_weight)
+                    composition_of_word, format_terms, is_convergent, scaled,
+                    shuffle, shuffle_poly, stuffle, stuffle_pairs, unscaled,
+                    words_of_weight)
 
 
 def zeta_str(f: NcPoly) -> str:
@@ -46,7 +46,9 @@ def decompose(w: Word) -> tuple:
 def shuffle_regularize(w: Word) -> NcPoly:
     """Express Z(w) on convergent words via the double-sum shuffle
     regularization; the identity on already-convergent words, and the unit
-    on the empty word, as regularization is an algebra map: Z(empty) = 1."""
+    on the empty word, as regularization is an algebra map: Z(empty) = 1.
+    The alternating sum over (a, b) is the regularization map itself, so it
+    cancels every non-convergent word and needs no projection."""
     if is_convergent(w) or not w:
         return NcPoly.word(w)
     r, v, s = decompose(w)
@@ -55,7 +57,7 @@ def shuffle_regularize(w: Word) -> NcPoly:
         for b in range(s + 1):
             inner = "y" * (r - a) + v + "x" * (s - b)
             poly = shuffle_poly(shuffle("y" * a, inner), NcPoly.word("x" * b))
-            accumulate(out, pi_convergent(poly).terms, -1 if (a + b) % 2 else 1)
+            accumulate(out, poly.terms, -1 if (a + b) % 2 else 1)
     return NcPoly._wrap(out)
 
 
@@ -76,12 +78,10 @@ def star_units(N: int) -> tuple:
     return tuple(units)
 
 
-@lru_cache(maxsize=None)
 def star_regularize(w: Word) -> NcPoly:
     """Z*(w) for a word ending in y: identity on convergent words, and the
     mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise; since
-    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit.
-    Cached like shuffle_regularize: callers copy or only read its terms."""
+    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit."""
     check_word(w)
     if not w or w[-1] != "y":
         raise ValueError(f"star regularization needs a word ending in y: {w!r}")
@@ -98,7 +98,8 @@ def star_regularize(w: Word) -> NcPoly:
 @lru_cache(maxsize=None)
 def _scaled_star(w: Word) -> tuple:
     """(Z, d) with Z*(w) = Z / d: star_regularize(w) cleared of denominators
-    by their lcm d, so Z has int coefficients.  Read-only, like the cache."""
+    by their lcm d, so Z has int coefficients.  Cached: callers only read
+    its terms."""
     terms = star_regularize(w).terms
     ints, den = scaled(terms.values())
     return NcPoly._wrap(dict(zip(terms, ints))), den

@@ -288,11 +288,6 @@ def concat(f: NcPoly, g: NcPoly) -> NcPoly:
     return NcPoly._wrap(out)
 
 
-def pi_convergent(f: NcPoly) -> NcPoly:
-    """Projection onto the convergent words of f."""
-    return NcPoly._wrap({w: c for w, c in f.terms.items() if is_convergent(w)})
-
-
 # -- word <-> composition dictionary -------------------------------------
 
 

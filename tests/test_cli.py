@@ -62,6 +62,9 @@ def test_matrix_csv(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[0] == "1,6,15,28"
+    # the symbolic A has no weight cap of its own
+    _, sym, _ = run(capsys, "matrix", "--which", "Asym", "--weight", "32")
+    assert sym == run(capsys, "matrix", "--which", "A", "--weight", "32")[1]
 
 
 def test_matrix_tADB_json(capsys):

@@ -140,22 +140,22 @@ def test_relation_coefficients_helper():
 
 def test_report_weight12_all_ok():
     rep = correspondence_report(12)
-    assert rep.all_ok
-    assert rep.dim_formula == rep.dim_ek == rep.dim_ker_A == rep.dim_ker_tA == 1
-    assert rep.symbolic_agrees is True
-    assert rep.symmetry_ok and rep.block_ok and rep.duality_span_ok
-    assert rep.q_equals_DBa
-    assert rep.ker_A == [[1, -3, 3, -1]]
-    assert rep.failures == []
+    assert rep["all_ok"]
+    assert rep["dim_formula"] == rep["dim_ek"] == rep["dim_ker_A"] == rep["dim_ker_tA"] == 1
+    assert rep["symbolic_agrees"] is True
+    assert rep["symmetry_ok"] and rep["block_ok"] and rep["duality_span_ok"]
+    assert rep["q_equals_DBa"]
+    assert rep["ker_A"] == [["1", "-3", "3", "-1"]]
+    assert rep["failures"] == []
 
 
 def test_report_checks_ker_A_is_a_of_basis(monkeypatch):
     # right dimension, wrong space: caught only by comparing the vectors
     monkeypatch.setattr(relations, "ek_basis", lambda k: [PeriodPoly(12, (1, 0, 0, -1))])
     rep = correspondence_report(12)
-    assert rep.dims_agree
-    assert not rep.all_ok
-    assert "Ker A != a(E_k)" in rep.failures
+    assert rep["dims_agree"]
+    assert not rep["all_ok"]
+    assert "Ker A != a(E_k)" in rep["failures"]
 
 
 def test_report_builds_each_matrix_once(monkeypatch):
@@ -166,7 +166,7 @@ def test_report_builds_each_matrix_once(monkeypatch):
             return original(k)
         monkeypatch.setattr(linalg, name, spy)
         monkeypatch.setattr(relations, name, spy)
-    assert correspondence_report(24).all_ok
+    assert correspondence_report(24)["all_ok"]
     # one A for the report, one inside conjugate_M
     assert calls["build_A"] <= 2
     assert calls["build_D"] == calls["build_B"] == 1
@@ -179,18 +179,18 @@ def test_report_checks_symmetry(monkeypatch):
         return Mat(rows)
     monkeypatch.setattr(relations, "build_B", skewed_B)
     rep = correspondence_report(12)
-    assert not rep.symmetry_ok
-    assert "tADB not symmetric" in rep.failures
+    assert not rep["symmetry_ok"]
+    assert "tADB not symmetric" in rep["failures"]
 
 
 def test_report_weight14_zero_dimensional():
     rep = correspondence_report(14)
-    assert rep.all_ok
-    assert rep.dim_ek == 0
+    assert rep["all_ok"]
+    assert rep["dim_ek"] == 0
 
 
 def test_report_dict_round_trips_through_json():
-    doc = correspondence_report(16).to_dict()
+    doc = correspondence_report(16)
     again = json.loads(json.dumps(doc))
     assert again["weight"] == 16
     assert again["all_ok"] is True
@@ -199,8 +199,8 @@ def test_report_dict_round_trips_through_json():
 
 def test_report_symbolic_skipped_above_30():
     rep = correspondence_report(32)
-    assert rep.symbolic_agrees is None
-    assert rep.all_ok
+    assert rep["symbolic_agrees"] is None
+    assert rep["all_ok"]
 
 
 def test_report_weight_guard():

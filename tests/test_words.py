@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import nc_polys, rationals, words, y_words
 from dshuffle.words import (NcPoly, composition_of_word, concat,
-                            format_rational, is_convergent, pair,
-                            pi_convergent, scaled, shuffle, shuffle_poly,
-                            stuffle, word_of_composition, words_of_weight)
+                            format_rational, is_convergent, pair, scaled,
+                            shuffle, shuffle_poly, stuffle,
+                            word_of_composition, words_of_weight)
 
 
 def test_coeff_lookup():
@@ -152,17 +152,6 @@ def test_depth_additive_on_monomials():
     f = NcPoly.word("xyx")
     g = NcPoly.word("yy")
     assert depth(concat(f, g)) == depth(f) + depth(g) == 3
-
-
-def test_pi_convergent():
-    assert pi_convergent(NcPoly({"yxy": 1, "xyy": 2})) == NcPoly({"xyy": 2})
-    assert pi_convergent(NcPoly.word("xy")) == NcPoly.word("xy")
-    assert pi_convergent(NcPoly({"y": 1, "x": 1})) == NcPoly.zero()
-
-
-@given(nc_polys())
-def test_pi_convergent_idempotent(f):
-    assert pi_convergent(pi_convergent(f)) == pi_convergent(f)
 
 
 def test_composition_dictionary():
