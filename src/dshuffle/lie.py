@@ -1,9 +1,8 @@
 """Free Lie algebra operations on Q<x, y>.
 
 Bracket, ad_x powers, the derivation D_f, the Poisson bracket, the
-enveloping-algebra product f (.) g = fg + D_f(g), a double-shuffle
-membership test, and a small-weight solver for the double shuffle
-conditions over a Lyndon-word basis.
+enveloping-algebra product f (.) g = fg + D_f(g), and a small-weight
+solver for the double shuffle conditions over a Lyndon-word basis.
 """
 
 from __future__ import annotations
@@ -32,42 +31,15 @@ def ad_x_pow(n: int) -> NcPoly:
     })
 
 
-def _dynkin_word(w: Word) -> NcPoly:
-    # left-to-right bracketing [...[[l1, l2], l3]..., ln]
-    if len(w) == 1:
-        return NcPoly.word(w)
-    return bracket(_dynkin_word(w[:-1]), NcPoly.word(w[-1]))
-
-
-def dynkin(f: NcPoly) -> NcPoly:
-    """Linear extension of the left-to-right bracketing map."""
-    out: dict = {}
-    for w, c in f.terms.items():
-        if not w:
-            raise ValueError("Dynkin map is undefined on the empty word")
-        accumulate(out, _dynkin_word(w).terms, c)
-    return NcPoly._wrap(out)
-
-
-def is_lie(f: NcPoly) -> bool:
-    """Dynkin criterion: f of weight n is a Lie polynomial iff dynkin(f) = n f."""
-    n = f.poly_weight()
-    if n is None:
-        return True
-    if n < 1:
-        raise ValueError("weight must be >= 1")
-    return dynkin(f) == f.scale(n)
-
-
 def derivation_apply(f: NcPoly, g: NcPoly) -> NcPoly:
     """D_f(g), where D_f(x) = 0 and D_f(y) = [y, f]."""
-    yf = bracket(Y, f)
+    yf = bracket(Y, f).terms
     out: dict = {}
     for w, c in g.terms.items():
         for p, letter in enumerate(w):
             if letter == "y":
-                piece = concat(concat(NcPoly.word(w[:p]), yf), NcPoly.word(w[p + 1:]))
-                accumulate(out, piece.terms, c)
+                head, tail = w[:p], w[p + 1:]
+                accumulate(out, {head + u + tail: d for u, d in yf.items()}, c)
     return NcPoly._wrap(out)
 
 
@@ -92,27 +64,6 @@ def admissible_stuffle_pairs(n: int) -> list:
     """Pairs (u, v), u <= v, of nonempty words ending in y with |u| + |v| = n,
     not both powers of y."""
     return [(u, v) for u, v in stuffle_pairs(n) if "x" in u + v]
-
-
-def ds_check(f: NcPoly) -> list:
-    """Violated conditions keeping f out of the double shuffle Lie algebra.
-
-    Returns the admissible stuffle pairs (u, v) with (f | u * v) != 0;
-    a failed Dynkin (non-Lie) test is reported as the pair ("dynkin", "dynkin").
-    Empty result means f passes every condition.
-    """
-    n = f.poly_weight()
-    if n is None:
-        return []
-    if n < 3:
-        raise ValueError("double shuffle elements have weight >= 3")
-    violations = []
-    if not is_lie(f):
-        violations.append(("dynkin", "dynkin"))
-    for u, v in admissible_stuffle_pairs(n):
-        if pair(f, stuffle(u, v)):
-            violations.append((u, v))
-    return violations
 
 
 # -- Lyndon basis and the solver ------------------------------------------

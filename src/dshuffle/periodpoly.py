@@ -13,7 +13,6 @@ imposed symbolically after clearing denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
@@ -21,19 +20,19 @@ from .linalg import Mat, kernel
 from .words import ConsistencyError, format_terms
 
 
-@dataclass(frozen=True)
 class PeriodPoly:
     """P(X) = sum_{i=1}^{(k-4)/2} coeffs[i-1] X^(2i)."""
 
-    k: int
-    coeffs: tuple
+    __slots__ = ("k", "coeffs")
 
-    def __post_init__(self):
-        if self.k % 2 or self.k < 4:
+    def __init__(self, k: int, coeffs: tuple):
+        if k % 2 or k < 4:
             raise ValueError("weight must be even and >= 4")
-        n = (self.k - 4) // 2
-        if len(self.coeffs) != n:
-            raise ValueError(f"expected {n} coefficients for weight {self.k}")
+        n = (k - 4) // 2
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients for weight {k}")
+        self.k = k
+        self.coeffs = coeffs
 
     def is_antisymmetric(self) -> bool:
         """p_2i = -p_(k-2-2i) for all i."""

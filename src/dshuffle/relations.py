@@ -7,7 +7,6 @@ with every cross-check recorded in the JSON object `report` prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -22,7 +21,6 @@ from .words import (ConsistencyError, accumulate, format_rational, format_terms,
                     stuffle, word_of_composition)
 
 
-@dataclass(frozen=True)
 class Relation:
     """A tagged linear relation in even weight k.
 
@@ -33,10 +31,14 @@ class Relation:
     is that multiple as estimated numerically.
     """
 
-    weight: int
-    kind: str
-    terms: tuple
-    scalar_estimate: Optional[Fraction] = None
+    __slots__ = ("weight", "kind", "terms", "scalar_estimate")
+
+    def __init__(self, weight: int, kind: str, terms: tuple,
+                 scalar_estimate: Optional[Fraction] = None):
+        self.weight = weight
+        self.kind = kind
+        self.terms = terms
+        self.scalar_estimate = scalar_estimate
 
     def coefficients(self) -> list:
         return [c for _, c in self.terms]

@@ -21,7 +21,7 @@ Word = str
 
 
 def check_word(w: str) -> str:
-    if any(c not in ALPHABET for c in w):
+    if not isinstance(w, str) or w.strip(ALPHABET):
         raise ValueError(f"not a word over {{x, y}}: {w!r}")
     return w
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import mpmath as mp
 from hypothesis import strategies as st
 
+from dshuffle.lie import admissible_stuffle_pairs, bracket
 from dshuffle.regularization import star_regularize
-from dshuffle.words import NcPoly, accumulate, shuffle_poly, stuffle
+from dshuffle.words import NcPoly, accumulate, pair, shuffle_poly, stuffle
 
 
 def words(min_size=0, max_size=6):
@@ -134,6 +135,48 @@ def necklace_count(n):
         return -result if d > 1 else result
 
     return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def dynkin(f):
+    """Linear extension of the left-to-right bracketing map
+    w = l1 l2 ... ln -> [...[[l1, l2], l3]..., ln]."""
+    def bracketed(w):
+        b = NcPoly.word(w[0])
+        for letter in w[1:]:
+            b = bracket(b, NcPoly.word(letter))
+        return b
+
+    out = {}
+    for w, c in f.terms.items():
+        if not w:
+            raise ValueError("Dynkin map is undefined on the empty word")
+        accumulate(out, bracketed(w).terms, c)
+    return NcPoly._wrap(out)
+
+
+def is_lie(f):
+    """Dynkin criterion: f of weight n is a Lie polynomial iff dynkin(f) = n f."""
+    n = f.poly_weight()
+    if n is None:
+        return True
+    if n < 1:
+        raise ValueError("weight must be >= 1")
+    return dynkin(f) == f.scale(n)
+
+
+def ds_check(f):
+    """Violated conditions keeping f out of the double shuffle Lie algebra:
+    the admissible stuffle pairs (u, v) with (f | u * v) != 0, led by the
+    pair ("dynkin", "dynkin") when f is not a Lie polynomial.  Empty means
+    f passes every condition; ds_solve must only return such f."""
+    n = f.poly_weight()
+    if n is None:
+        return []
+    if n < 3:
+        raise ValueError("double shuffle elements have weight >= 3")
+    violations = [] if is_lie(f) else [("dynkin", "dynkin")]
+    return violations + [(u, v) for u, v in admissible_stuffle_pairs(n)
+                         if pair(f, stuffle(u, v))]
 
 
 def satisfies_period_equations(P):

@@ -10,9 +10,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from conftest import rref_rank
-from dshuffle.lie import (admissible_stuffle_pairs, ds_check, ds_solve,
-                          lie_basis, poisson)
+from conftest import ds_check, rref_rank
+from dshuffle.lie import admissible_stuffle_pairs, ds_solve, lie_basis, poisson
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, conjugate_M, kernel,
                              normalize_vector, same_span, symmetry_product)

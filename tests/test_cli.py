@@ -2,14 +2,19 @@ import contextlib
 import importlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dshuffle import numzeta
+import dshuffle
+from dshuffle import linalg, numzeta, periodpoly
 from dshuffle.cli import main
+from dshuffle.linalg import Mat
 from dshuffle.words import ConsistencyError, NcPoly
 
 
@@ -206,6 +211,66 @@ def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, arg
     assert out == ""
     assert err.startswith("error: ")
     assert not issubclass(ConsistencyError, ValueError)
+
+
+def bumped(M, i, j):
+    rows = [list(r) for r in M.rows]
+    rows[i][j] += 1
+    return Mat(rows)
+
+
+def q_bumped(P):
+    q = periodpoly.q_vector(P)
+    return (q[0] + 1,) + q[1:]
+
+
+REPORT_12 = ["report", "--from", "12", "--to", "12"]
+
+
+# No check passes vacuously: one perturbation per failure condition that no
+# other test fires, each tripping its own message and no other.  A report
+# row lists the whole failures list, so a fake that starts to trip an
+# earlier check shows up; the other rows name their command's error.
+@pytest.mark.parametrize("module, name, fake, argv, messages", [
+    ("relations", "build_A_symbolic", lambda k: bumped(linalg.build_A_symbolic(k), -1, -1),
+     REPORT_12, ["symbolic A differs from closed form"]),
+    ("relations", "conjugate_M", lambda k: bumped(linalg.conjugate_M(k), 0, 0),
+     REPORT_12, ["block structure violated"]),
+    ("relations", "same_span", lambda vs, ws: False,
+     REPORT_12, ["Ker tA != DB Ker A"]),
+    ("relations", "q_vector", q_bumped, REPORT_12, ["q_vector != DB a_vector"]),
+    ("relations", "ek_dim_formula", lambda k: periodpoly.ek_dim_formula(k) + 1,
+     REPORT_12, ["dimension mismatch"]),
+    ("relations", "q_vector", q_bumped,
+     ["relations", "--weight", "12"], ["q-vector fell outside Ker tA"]),
+    ("relations", "stuffle", lambda u, v: NcPoly.zero(),
+     ["check", "--weight", "12", "--digits", "15"], ["no unique scalar"]),
+], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "q_in_ker_tA", "scalar"])
+def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, messages):
+    monkeypatch.setattr(importlib.import_module(f"dshuffle.{module}"), name, fake)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    if argv[0] == "report":
+        rep = json.loads(out)
+        assert rep["all_ok"] is False
+        assert rep["failures"] == messages
+    else:
+        assert out == ""
+        [message] = messages
+        assert err.startswith(f"error: {message}")
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 15 ms of
+    # start-up for every command
+    src = str(Path(dshuffle.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import dshuffle.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "dshuffle.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def cheap_argvs():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import homogeneous_polys, necklace_count, rref_rank
+from conftest import (ds_check, dynkin, homogeneous_polys, is_lie, necklace_count,
+                      rref_rank)
 from dshuffle.lie import (ad_x_pow, admissible_stuffle_pairs, bracket,
-                          derivation_apply, ds_check, ds_solve, dynkin,
-                          is_lie, lie_basis, lyndon_bracket,
+                          derivation_apply, ds_solve, lie_basis, lyndon_bracket,
                           lyndon_words, odot, poisson)
 from dshuffle.words import NcPoly, pair, stuffle
 

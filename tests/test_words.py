@@ -25,6 +25,13 @@ def test_coeff_ad_x_squared():
     assert ad_x_pow(2).coeff("xyx") == -2
 
 
+@pytest.mark.parametrize("w", [("x", "y"), ("xy",), "xz", "x y", 7])
+def test_ncpoly_rejects_non_words(w):
+    # a tuple of letters used to pass the check and break str() later
+    with pytest.raises(ValueError):
+        NcPoly({w: 1})
+
+
 def test_pair_right_linear():
     f = NcPoly({"xy": 1, "yx": 2})
     g = NcPoly({"xy": Fraction(1, 2), "yx": 3, "xx": 7})
