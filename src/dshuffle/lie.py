@@ -113,10 +113,17 @@ def ds_solve(n: int) -> list:
     from .linalg import Mat, kernel
 
     basis = lie_basis(n)
+    support: dict = {}  # word -> indices of the basis elements that hold it
+    for j, b in enumerate(basis):
+        for w in b.terms:
+            support.setdefault(w, set()).add(j)
     rows = []
     for u, v in admissible_stuffle_pairs(n):
         st = stuffle(u, v)
-        rows.append([pair(b, st) for b in basis])
+        row = [0] * len(basis)
+        for j in set().union(*(support.get(w, ()) for w in st.terms)):
+            row[j] = pair(basis[j], st)
+        rows.append(row)
     out = []
     for vec in kernel(Mat(rows)):
         terms: dict = {}

@@ -230,13 +230,17 @@ def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
     return NcPoly._wrap(out)
 
 
+def _check_y_word(w: Word) -> Word:
+    if not check_word(w).endswith("y"):
+        raise ValueError(f"word does not end in y: {w!r}")
+    return w
+
+
 def _y_blocks(w: Word) -> tuple:
     """Write a word ending in y as y_{i_1}...y_{i_r} with y_i = x^(i-1) y."""
-    if not w or w[-1] != "y":
-        raise ValueError(f"word does not end in y: {w!r}")
     blocks = []
     run = 0
-    for c in w:
+    for c in _check_y_word(w):
         if c == "x":
             run += 1
         else:
@@ -250,28 +254,27 @@ def _blocks_word(blocks: Iterable[int]) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _stuffle_blocks(u: tuple, v: tuple) -> tuple:
+def _stuffle_words(u: Word, v: Word) -> tuple:
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
+    # the leading blocks a = x^(i-1) y, b = x^(j-1) y merge into x^(i+j-1) y
+    a, b = u[:u.index("y") + 1], v[:v.index("y") + 1]
+    ua, vb = u[len(a):], v[len(b):]
     out: dict = {}
-    for w, c in _stuffle_blocks(u[1:], v):
-        w2 = (u[0],) + w
-        out[w2] = out.get(w2, 0) + c
-    for w, c in _stuffle_blocks(u, v[1:]):
-        w2 = (v[0],) + w
-        out[w2] = out.get(w2, 0) + c
-    for w, c in _stuffle_blocks(u[1:], v[1:]):
-        w2 = (u[0] + v[0],) + w
-        out[w2] = out.get(w2, 0) + c
-    return tuple(sorted(out.items()))
+    for head, rest in ((a, _stuffle_words(ua, v)), (b, _stuffle_words(u, vb)),
+                       ("x" * (len(a) + len(b) - 1) + "y", _stuffle_words(ua, vb))):
+        for w, c in rest:
+            w2 = head + w
+            out[w2] = out.get(w2, 0) + c
+    return tuple(out.items())
 
 
 def stuffle(u: Word, v: Word) -> NcPoly:
     """Stuffle product of two nonempty words ending in y."""
-    bu, bv = _y_blocks(u), _y_blocks(v)
-    return NcPoly._wrap({_blocks_word(b): c for b, c in _stuffle_blocks(bu, bv)})
+    _check_y_word(u), _check_y_word(v)
+    return NcPoly._wrap(dict(_stuffle_words(u, v)))
 
 
 def concat(f: NcPoly, g: NcPoly) -> NcPoly:

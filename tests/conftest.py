@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 from hypothesis import strategies as st
@@ -108,6 +110,33 @@ def fraction_matmul(a_rows, b_rows):
 def rref_rank(rows):
     """Plain dense elimination, independent of the package's kernel path."""
     return len(fraction_rref(rows)[1])
+
+
+@lru_cache(maxsize=None)
+def _stuffle_compositions(a, b):
+    """(a_1, A) * (b_1, B) = a_1 (A * b) + b_1 (a * B) + (a_1 + b_1) (A * B)
+    on compositions, as a Counter of composition tuples."""
+    if not a or not b:
+        return Counter({a or b: 1})
+    out = Counter()
+    for head, ra, rb in ((a[0], a[1:], b), (b[0], a, b[1:]), (a[0] + b[0], a[1:], b[1:])):
+        for w, c in _stuffle_compositions(ra, rb).items():
+            out[(head,) + w] += c
+    return out
+
+
+def stuffle_oracle(u, v):
+    """The composition recursion words.stuffle replaced: each word ending in
+    y read as the composition (i_1, ..., i_r) of its blocks x^(i-1) y, the
+    compositions stuffled, and each result written back as a word; the
+    {word: coefficient} dict of u * v."""
+    def composition(w):
+        if not w.endswith("y") or w.strip("xy"):
+            raise ValueError(f"not a word ending in y: {w!r}")
+        return tuple(len(block) + 1 for block in w[:-1].split("y"))
+
+    return {"".join("x" * (i - 1) + "y" for i in parts): c
+            for parts, c in _stuffle_compositions(composition(u), composition(v)).items()}
 
 
 def fraction_stuffle_relation(u, v):

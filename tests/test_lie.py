@@ -171,6 +171,39 @@ def test_ds_solve_dimensions_independent_oracle():
         assert len(ds_solve(n)) == expected
 
 
+def test_ds_solve_rows_are_the_pairings(monkeypatch):
+    # rows are paired only where supports meet; they must still be the full
+    # matrix (b | u * v), and kernel must see exactly that matrix
+    from dshuffle import lie, linalg
+    seen = []
+    real_kernel = linalg.kernel
+
+    def kernel_spy(m):
+        seen.append([list(r) for r in m.rows])
+        return real_kernel(m)
+
+    monkeypatch.setattr(linalg, "kernel", kernel_spy)
+    for n in range(3, 10):
+        seen.clear()
+        ds_solve(n)
+        basis = lie_basis(n)
+        assert seen == [[[pair(b, stuffle(u, v)) for b in basis]
+                         for u, v in admissible_stuffle_pairs(n)]]
+    # pair stays the one pairing: perfbench's
+    # test_traced_counts_repeat_with_the_seed asserts words.pair.calls > 0
+    # on solver_sweep, so the rows must not be built without it
+    calls = 0
+
+    def counting_pair(f, g):
+        nonlocal calls
+        calls += 1
+        return pair(f, g)
+
+    monkeypatch.setattr(lie, "pair", counting_pair)
+    ds_solve(9)
+    assert 0 < calls < len(admissible_stuffle_pairs(9)) * len(lie_basis(9))
+
+
 def test_poisson_of_solutions_stays_in_ds():
     f3 = ds_solve(3)[0]
     f5 = ds_solve(5)[0]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nc_polys, rationals, words, y_words
+from conftest import nc_polys, rationals, stuffle_oracle, words, y_words
 from dshuffle.words import (NcPoly, composition_of_word, concat,
                             format_rational, is_convergent, pair, scaled,
-                            shuffle, shuffle_poly, stuffle,
+                            shuffle, shuffle_poly, stuffle, stuffle_pairs,
                             word_of_composition, words_of_weight)
 
 
@@ -91,6 +91,21 @@ def test_stuffle_rejects_bad_words():
         stuffle("yx", "y")
     with pytest.raises(ValueError):
         stuffle("y", "")
+
+
+@pytest.mark.parametrize("fn, args", [(composition_of_word, ("xay",)),
+                                       (stuffle, ("ay", "y")),
+                                       (stuffle, ("y", "xay"))])
+def test_blocks_reject_letters_other_than_x_and_y(fn, args):
+    # the block split must not read a letter other than y as an x
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_stuffle_matches_composition_oracle_through_weight_10():
+    for n in range(2, 11):
+        for u, v in stuffle_pairs(n):
+            assert stuffle(u, v).terms == stuffle_oracle(u, v), (u, v)
 
 
 @given(y_words(), y_words())
