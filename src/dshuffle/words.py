@@ -5,10 +5,16 @@ the empty word).  Canonical ordering is by length, then lexicographic with
 x < y, which is exactly the default string order once lengths agree.
 Polynomials are immutable sparse maps from words to nonzero rationals: an
 int stays an int, and a Fraction appears only where a division happened.
+
+Shuffle and stuffle are one recursion, joined by _join and differing only
+in their heads; _bilinear extends a word product to polynomials.  The
+memoized word products return cached dicts that shuffle and stuffle wrap as
+is, so callers only read them (see accumulate).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -199,96 +205,65 @@ def pair(f: NcPoly, g: NcPoly) -> Rational:
 # -- shuffle and stuffle ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _shuffle_words(u: Word, v: Word) -> tuple:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
+def _join(branches: Iterable[tuple]) -> dict:
+    """Sum of head + w over the (head, terms) branches, as {word: coefficient}."""
     out: dict = {}
-    for w, c in _shuffle_words(u[1:], v):
-        w2 = u[0] + w
-        out[w2] = out.get(w2, 0) + c
-    for w, c in _shuffle_words(u, v[1:]):
-        w2 = v[0] + w
-        out[w2] = out.get(w2, 0) + c
-    return tuple(sorted(out.items()))
+    for head, terms in branches:
+        for w, c in terms.items():
+            w = head + w
+            out[w] = out.get(w, 0) + c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shuffle_words(u: Word, v: Word) -> dict:
+    if not u or not v:
+        return {u + v: 1}
+    return _join(((u[0], _shuffle_words(u[1:], v)), (v[0], _shuffle_words(u, v[1:]))))
 
 
 def shuffle(u: Word, v: Word) -> NcPoly:
     """Shuffle product of two words."""
     check_word(u), check_word(v)
-    return NcPoly._wrap(dict(_shuffle_words(u, v)))
+    return NcPoly._wrap(_shuffle_words(u, v))
+
+
+def _bilinear(f: NcPoly, g: NcPoly, product) -> NcPoly:
+    """Extend product(u, v) -> {word: coefficient} bilinearly to f and g."""
+    out: dict = {}
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
+            accumulate(out, product(u, v), a * b)
+    return NcPoly._wrap(out)
 
 
 def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
     """Bilinear extension of the shuffle product."""
-    out: dict = {}
-    for u, a in f.terms.items():
-        for v, b in g.terms.items():
-            accumulate(out, shuffle(u, v).terms if u and v else {u + v: 1}, a * b)
-    return NcPoly._wrap(out)
-
-
-def _check_y_word(w: Word) -> Word:
-    if not check_word(w).endswith("y"):
-        raise ValueError(f"word does not end in y: {w!r}")
-    return w
-
-
-def _y_blocks(w: Word) -> tuple:
-    """Write a word ending in y as y_{i_1}...y_{i_r} with y_i = x^(i-1) y."""
-    blocks = []
-    run = 0
-    for c in _check_y_word(w):
-        if c == "x":
-            run += 1
-        else:
-            blocks.append(run + 1)
-            run = 0
-    return tuple(blocks)
-
-
-def _blocks_word(blocks: Iterable[int]) -> Word:
-    return "".join("x" * (i - 1) + "y" for i in blocks)
+    return _bilinear(f, g, _shuffle_words)
 
 
 @lru_cache(maxsize=None)
-def _stuffle_words(u: Word, v: Word) -> tuple:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
+def _stuffle_words(u: Word, v: Word) -> dict:
+    if not u or not v:
+        return {u + v: 1}
     # the leading blocks a = x^(i-1) y, b = x^(j-1) y merge into x^(i+j-1) y
     a, b = u[:u.index("y") + 1], v[:v.index("y") + 1]
     ua, vb = u[len(a):], v[len(b):]
-    out: dict = {}
-    for head, rest in ((a, _stuffle_words(ua, v)), (b, _stuffle_words(u, vb)),
-                       ("x" * (len(a) + len(b) - 1) + "y", _stuffle_words(ua, vb))):
-        for w, c in rest:
-            w2 = head + w
-            out[w2] = out.get(w2, 0) + c
-    return tuple(out.items())
+    return _join(((a, _stuffle_words(ua, v)), (b, _stuffle_words(u, vb)),
+                  ("x" * (len(a) + len(b) - 1) + "y", _stuffle_words(ua, vb))))
 
 
 def stuffle(u: Word, v: Word) -> NcPoly:
     """Stuffle product of two nonempty words ending in y."""
-    _check_y_word(u), _check_y_word(v)
-    return NcPoly._wrap(dict(_stuffle_words(u, v)))
+    for w in (u, v):
+        if not check_word(w).endswith("y"):
+            raise ValueError(f"word does not end in y: {w!r}")
+    return NcPoly._wrap(_stuffle_words(u, v))
 
 
 def concat(f: NcPoly, g: NcPoly) -> NcPoly:
     """Bilinear extension of word concatenation."""
-    out: dict = {}
-    for u, a in f.terms.items():
-        for v, b in g.terms.items():
-            w = u + v
-            s = out.get(w, 0) + a * b
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return NcPoly._wrap(out)
+    return _bilinear(f, g, lambda u, v: {u + v: 1})
 
 
 # -- word <-> composition dictionary -------------------------------------
@@ -303,22 +278,19 @@ def check_composition(parts) -> tuple:
 
 def word_of_composition(parts) -> Word:
     """(r_1, ..., r_k) -> x^(r_1 - 1) y ... x^(r_k - 1) y."""
-    return _blocks_word(check_composition(parts))
+    return "".join("x" * (i - 1) + "y" for i in check_composition(parts))
 
 
 def composition_of_word(w: Word) -> tuple:
     """Inverse of word_of_composition; rejects non-convergent words."""
-    if not is_convergent(w):
+    if not is_convergent(check_word(w)):
         raise ValueError(f"not a convergent word: {w!r}")
-    return _y_blocks(w)
+    return tuple(len(b) + 1 for b in w[:-1].split("y"))
 
 
 def words_of_weight(n: int) -> list:
     """All 2^n words of weight n, in canonical order."""
-    if n == 0:
-        return [""]
-    return ["".join("y" if (i >> b) & 1 else "x" for b in range(n - 1, -1, -1))
-            for i in range(2 ** n)]
+    return ["".join(p) for p in itertools.product(ALPHABET, repeat=n)]
 
 
 def stuffle_pairs(n: int) -> list:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -110,6 +111,18 @@ def fraction_matmul(a_rows, b_rows):
 def rref_rank(rows):
     """Plain dense elimination, independent of the package's kernel path."""
     return len(fraction_rref(rows)[1])
+
+
+def shuffle_oracle(u, v):
+    """u * v by the positions formula, sharing no code with words: for each
+    |u|-subset of the |u| + |v| positions, u read onto the subset and v onto
+    the rest; the {word: coefficient} dict."""
+    out = Counter()
+    for chosen in map(set, itertools.combinations(range(len(u) + len(v)), len(u))):
+        us, vs = iter(u), iter(v)
+        out["".join(next(us) if i in chosen else next(vs)
+                    for i in range(len(u) + len(v)))] += 1
+    return dict(out)
 
 
 @lru_cache(maxsize=None)

@@ -183,6 +183,19 @@ def test_check_digits_out_of_range_exit_2(capsys, digits):
     assert "15" in err and "40" in err
 
 
+def test_regularize_word_over_cap_exit_2(capsys):
+    code, out, err = run(capsys, "regularize", "--word", "y" * 7 + "x" * 8)
+    assert code == 2
+    assert out == ""
+    assert "at most 14 letters" in err
+
+
+def test_regularize_14_letter_word_exits_0(capsys):
+    code, out, _ = run(capsys, "regularize", "--word", "y" * 6 + "x" * 8)
+    assert code == 0
+    assert out == "-Z(9, 1, 1, 1, 1, 1)\n"
+
+
 def test_star_regularize_y13_exit_2(capsys):
     code, out, err = run(capsys, "regularize", "--word", "y" * 13, "--star")
     assert code == 2
@@ -305,7 +318,8 @@ def cheap_argvs():
         st.builds(lambda n: ["ds-solve", "--weight", str(n)], ints(-2, 8) | ints(11, 64)),
         st.builds(lambda n: ["fz-dim", "--weight", str(n)], ints(-2, 7) | ints(11, 64)),
         st.builds(lambda w, star: ["regularize", "--word", w] + star,
-                  st.text(alphabet="xy", max_size=8) | st.sampled_from(["z", "xyz", "1", " "]),
+                  st.text(alphabet="xy", max_size=8) | st.sampled_from(["z", "xyz", "1", " "])
+                  | st.text(alphabet="xy", min_size=15, max_size=24),
                   st.sampled_from([[], ["--star"]])),
     )
 

@@ -11,8 +11,8 @@ from dshuffle.regularization import (_scaled_star, decompose, fz_quotient_dim,
                                      star_regularize, star_units,
                                      stuffle_relation, weight_relations,
                                      zeta_str)
-from dshuffle.words import (NcPoly, is_convergent, shuffle_poly, stuffle_pairs,
-                            words_of_weight)
+from dshuffle.words import (NcPoly, _shuffle_words, _stuffle_words, is_convergent,
+                            shuffle_poly, stuffle_pairs, words_of_weight)
 
 
 def Z(*parts):
@@ -211,6 +211,13 @@ def test_cached_values_survive_accumulation():
     scaled_stars = [_scaled_star(w) for w in ys]
     _scaled_star.cache_clear()
     assert scaled_stars == [_scaled_star(w) for w in ys]
+    shuffles = [(u, v) for u in ws for v in ws if len(u) + len(v) <= 6]
+    stuffles = [(u, v) for u in ys for v in ys if len(u) + len(v) <= 6]
+    products = [_shuffle_words(*p) for p in shuffles], [_stuffle_words(*p) for p in stuffles]
+    _shuffle_words.cache_clear()
+    _stuffle_words.cache_clear()
+    assert products == ([_shuffle_words(*p) for p in shuffles],
+                        [_stuffle_words(*p) for p in stuffles])
 
 
 def test_str_rejects_non_convergent_symbols():

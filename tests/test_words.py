@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nc_polys, rationals, stuffle_oracle, words, y_words
+from conftest import (nc_polys, rationals, shuffle_oracle, stuffle_oracle, words,
+                      y_words)
 from dshuffle.words import (NcPoly, composition_of_word, concat,
                             format_rational, is_convergent, pair, scaled,
                             shuffle, shuffle_poly, stuffle, stuffle_pairs,
-                            word_of_composition, words_of_weight)
+                            word_key, word_of_composition, words_of_weight)
 
 
 def test_coeff_lookup():
@@ -59,6 +60,30 @@ def test_shuffle_commutative_exhaustive_weight8():
             for u in words_of_weight(a):
                 for v in words_of_weight(b):
                     assert shuffle(u, v) == shuffle(v, u)
+
+
+def test_shuffle_matches_positions_oracle_through_weight_8():
+    for n in range(9):
+        for a in range(n + 1):
+            for u in words_of_weight(a):
+                for v in words_of_weight(n - a):
+                    assert shuffle(u, v).terms == shuffle_oracle(u, v), (u, v)
+
+
+def _naive_bilinear(f, g, product):
+    out = {}
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
+            for w, c in product(u, v).items():
+                out[w] = out.get(w, 0) + a * b * c
+    return {w: c for w, c in out.items() if c}
+
+
+@given(nc_polys(), nc_polys())
+@settings(max_examples=60)
+def test_bilinear_products_match_naive_sums(f, g):
+    assert shuffle_poly(f, g).terms == _naive_bilinear(f, g, shuffle_oracle)
+    assert concat(f, g).terms == _naive_bilinear(f, g, lambda u, v: {u + v: 1})
 
 
 @given(words(max_size=3), words(max_size=3), words(max_size=3))
@@ -185,6 +210,19 @@ def test_composition_dictionary():
         composition_of_word("yxy")
     with pytest.raises(ValueError):
         word_of_composition((1, 2))
+
+
+def test_composition_dictionary_inverts_on_convergent_words_through_weight_10():
+    for n in range(2, 11):
+        for w in filter(is_convergent, words_of_weight(n)):
+            assert word_of_composition(composition_of_word(w)) == w
+
+
+def test_words_of_weight_are_all_words_in_canonical_order():
+    for n in range(11):
+        every = [bin(i)[3:].replace("0", "x").replace("1", "y")
+                 for i in range(2 ** n, 2 ** (n + 1))]
+        assert words_of_weight(n) == sorted(every, key=word_key)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
