@@ -6,7 +6,7 @@ from .words import NcPoly, concat, pair, shuffle, stuffle
 from .lie import ad_x_pow, bracket, derivation_apply, ds_solve, odot, poisson
 from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D, build_S,
                      build_T, block_check, conjugate_M, kernel, symmetry_product)
-from .periodpoly import PeriodPoly, a_vector, ek_basis, ek_dim_formula, q_vector
+from .periodpoly import ek_basis, ek_dim_formula, q_vector
 from .regularization import (fz_quotient_dim, sh_basis_dim, shuffle_regularize,
                              star_regularize, stuffle_relation)
 from .relations import Relation, correspondence_report, gkz_relations, ihara_relations

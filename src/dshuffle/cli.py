@@ -48,11 +48,11 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_period_basis(args) -> int:
-    from .periodpoly import a_vector, ek_basis, q_vector
-    for P in ek_basis(args.weight):
-        print(str(P))
-        print("  a =", "(" + ", ".join(format_rational(c) for c in a_vector(P)) + ")")
-        print("  q =", "(" + ", ".join(format_rational(c) for c in q_vector(P)) + ")")
+    from .periodpoly import ek_basis, period_str, q_vector
+    for p in ek_basis(args.weight):
+        print(period_str(p))
+        print("  a =", "(" + ", ".join(format_rational(c) for c in p) + ")")
+        print("  q =", "(" + ", ".join(format_rational(c) for c in q_vector(p)) + ")")
     return 0
 
 

@@ -20,30 +20,12 @@ from .linalg import Mat, kernel
 from .words import ConsistencyError, format_terms
 
 
-class PeriodPoly:
-    """P(X) = sum_{i=1}^{(k-4)/2} coeffs[i-1] X^(2i)."""
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs: tuple):
-        if k % 2 or k < 4:
-            raise ValueError("weight must be even and >= 4")
-        n = (k - 4) // 2
-        if len(coeffs) != n:
-            raise ValueError(f"expected {n} coefficients for weight {k}")
-        self.k = k
-        self.coeffs = coeffs
-
-    def is_antisymmetric(self) -> bool:
-        """p_2i = -p_(k-2-2i) for all i."""
-        n = len(self.coeffs)
-        return all(self.coeffs[i] == -self.coeffs[n - 1 - i] for i in range(n))
-
-    def __str__(self) -> str:
-        n = len(self.coeffs)
-        # pair X^(k-2-2i) with X^(2i), highest power first
-        return format_terms((f"(X^{2 * i + 2} - X^{self.k - 4 - 2 * i})", self.coeffs[i])
-                            for i in range(n - 1, (n + 1) // 2 - 1, -1))
+def period_str(p: list) -> str:
+    """The polynomial with coefficients p = (p_2, ..., p_(k-4)), k - 4 = 2 len(p),
+    printed as its pairs p_(k-2-2i) (X^(k-2-2i) - X^2i), highest power first."""
+    n = len(p)
+    return format_terms((f"(X^{2 * i + 2} - X^{2 * n - 2 * i})", p[i])
+                        for i in range(n - 1, (n + 1) // 2 - 1, -1))
 
 
 def ek_dim_formula(k: int) -> int:
@@ -69,9 +51,10 @@ def _three_term(k: int, i: int) -> list:
     return row
 
 
-def ek_basis(k: int) -> List[PeriodPoly]:
-    """Exact basis of E_k, normalized to integer coefficients with content 1
-    and positive first (lowest-degree) nonzero coefficient."""
+def ek_basis(k: int) -> List[list]:
+    """Exact basis of E_k as coefficient vectors (p_2, p_4, ..., p_(k-4)),
+    normalized to integers with content 1 and positive first nonzero entry.
+    The vector is also the bracket relation's a: a_i = p_2i."""
     if k % 2 or not 4 <= k <= 60:
         raise ValueError("weight must be even with 4 <= k <= 60")
     n = (k - 4) // 2
@@ -89,23 +72,19 @@ def ek_basis(k: int) -> List[PeriodPoly]:
     basis = kernel(Mat(rows))
     if len(basis) != ek_dim_formula(k):
         raise ConsistencyError(f"dim E_{k} = {len(basis)} disagrees with the formula")
-    return [PeriodPoly(k, tuple(v)) for v in basis]
+    for p in basis:
+        if p != [-c for c in reversed(p)]:
+            raise ConsistencyError(f"E_{k} basis vector violates antisymmetry: {p}")
+    return basis
 
 
-def a_vector(P: PeriodPoly) -> list:
-    """Dictionary to bracket-relation coefficients: a_i = p_2i."""
-    if not P.is_antisymmetric():
-        raise ValueError("polynomial violates the antisymmetry constraint")
-    return list(P.coeffs)
-
-
-def q_vector(P: PeriodPoly) -> tuple:
+def q_vector(p: list) -> tuple:
     """The entries q_(2j+1, k-2j-1) for j = 1 .. (k-4)/2: expand P(X+Y, Y)
     and divide the coefficient of X^2j Y^(k-2-2j) by C(k-2, 2j), so
-    q_(2j+1, k-2j-1) = sum_i p_2i C(2i, 2j) / C(k-2, 2j)."""
-    n = len(P.coeffs)
+    q_(2j+1, k-2j-1) = sum_i p_2i C(2i, 2j) / C(k-2, 2j), k - 2 = 2 len(p) + 2."""
+    n = len(p)
     entries = []
     for j in range(1, n + 1):
-        num = sum(P.coeffs[i - 1] * math.comb(2 * i, 2 * j) for i in range(1, n + 1))
-        entries.append(num / Fraction(math.comb(P.k - 2, 2 * j)))
+        num = sum(p[i - 1] * math.comb(2 * i, 2 * j) for i in range(1, n + 1))
+        entries.append(num / Fraction(math.comb(2 * n + 2, 2 * j)))
     return tuple(entries)

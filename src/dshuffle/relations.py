@@ -12,10 +12,10 @@ from typing import List, Optional
 
 import mpmath as mp
 
-from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D,
-                     conjugate_M, block_check, kernel, normalize_vector,
+from .linalg import (Mat, _check_weight, build_A, build_A_symbolic, build_B,
+                     build_D, conjugate_M, block_check, kernel, normalize_vector,
                      same_span)
-from .periodpoly import a_vector, ek_basis, ek_dim_formula, q_vector
+from .periodpoly import ek_basis, ek_dim_formula, q_vector
 from .regularization import stuffle_relation
 from .words import (ConsistencyError, accumulate, format_rational, format_terms,
                     stuffle, word_of_composition)
@@ -63,11 +63,12 @@ class Relation:
 
 def ihara_relations(k: int) -> List[Relation]:
     """One bracket relation per period polynomial basis element, with
-    coefficients (a_1, ..., a_floor((k-4)/4)); first coefficient positive."""
+    coefficients (a_1, ..., a_floor((k-4)/4)); first coefficient positive.
+    Takes the weights build_A takes, as gkz_relations does."""
     out = []
-    m = (k - 4) // 4
-    for P in ek_basis(k):
-        a = normalize_vector(a_vector(P)[:m])
+    m = _check_weight(k) // 2
+    for p in ek_basis(k):
+        a = normalize_vector(p[:m])
         terms = tuple(((2 * i + 1, k - 2 * i - 1), a[i - 1]) for i in range(1, m + 1))
         out.append(Relation(weight=k, kind="bracket", terms=terms))
     return out
@@ -86,8 +87,8 @@ def gkz_relations(k: int) -> List[Relation]:
     ker_t = kernel(tA)
     out = []
     vecs = []
-    for P in ek_basis(k):
-        q = normalize_vector(q_vector(P))
+    for p in ek_basis(k):
+        q = normalize_vector(q_vector(p))
         if q and q[-1] < 0:
             q = [-c for c in q]
         q = [2 * c for c in q]
@@ -157,7 +158,7 @@ def correspondence_report(k: int) -> dict:
     dims_agree = len(basis) == len(ker_A) == len(ker_tA) == dim_formula
     if not dims_agree:
         failures.append("dimension mismatch")
-    if ker_A != [a_vector(P) for P in basis]:
+    if ker_A != basis:
         failures.append("Ker A != a(E_k)")
 
     # null above 30, as the recorded report 12..40 digest prints it
@@ -180,11 +181,9 @@ def correspondence_report(k: int) -> dict:
     if not duality_span_ok:
         failures.append("Ker tA != DB Ker A")
 
-    q_equals_DBa = all(
-        list(q_vector(P)) == DB.mul_vec(a_vector(P)) for P in basis
-    )
+    q_equals_DBa = all(list(q_vector(p)) == DB.mul_vec(p) for p in basis)
     if not q_equals_DBa:
-        failures.append("q_vector != DB a_vector")
+        failures.append("q_vector != DB a")
 
     return {
         "weight": k, "dim_formula": dim_formula, "dim_ek": len(basis),

@@ -7,9 +7,8 @@ Polynomials are immutable sparse maps from words to nonzero rationals: an
 int stays an int, and a Fraction appears only where a division happened.
 
 Shuffle and stuffle are one recursion, joined by _join and differing only
-in their heads; _bilinear extends a word product to polynomials.  The
-memoized word products return cached dicts that shuffle and stuffle wrap as
-is, so callers only read them (see accumulate).
+in their heads.  The memoized word products return cached dicts that
+shuffle and stuffle wrap as is, so callers only read them (see accumulate).
 """
 
 from __future__ import annotations
@@ -228,18 +227,13 @@ def shuffle(u: Word, v: Word) -> NcPoly:
     return NcPoly._wrap(_shuffle_words(u, v))
 
 
-def _bilinear(f: NcPoly, g: NcPoly, product) -> NcPoly:
-    """Extend product(u, v) -> {word: coefficient} bilinearly to f and g."""
+def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
+    """Bilinear extension of the shuffle product."""
     out: dict = {}
     for u, a in f.terms.items():
         for v, b in g.terms.items():
-            accumulate(out, product(u, v), a * b)
+            accumulate(out, _shuffle_words(u, v), a * b)
     return NcPoly._wrap(out)
-
-
-def shuffle_poly(f: NcPoly, g: NcPoly) -> NcPoly:
-    """Bilinear extension of the shuffle product."""
-    return _bilinear(f, g, _shuffle_words)
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +256,11 @@ def stuffle(u: Word, v: Word) -> NcPoly:
 
 
 def concat(f: NcPoly, g: NcPoly) -> NcPoly:
-    """Bilinear extension of word concatenation."""
-    return _bilinear(f, g, lambda u, v: {u + v: 1})
+    """Bilinear extension of word concatenation: g spliced after each term of f."""
+    out: dict = {}
+    for u, a in f.terms.items():
+        accumulate(out, {u + v: b for v, b in g.terms.items()}, a)
+    return NcPoly._wrap(out)
 
 
 # -- word <-> composition dictionary -------------------------------------

@@ -221,16 +221,17 @@ def ds_check(f):
                          if pair(f, stuffle(u, v))]
 
 
-def satisfies_period_equations(P):
-    """Both functional equations of E_k, P(X) + X^(k-2) P(1/X) = 0 and
+def satisfies_period_equations(coeffs):
+    """Both functional equations of E_k, k = 2 len(coeffs) + 4, for
+    P(X) = sum coeffs[i-1] X^2i: P(X) + X^(k-2) P(1/X) = 0 and
     P(X) + X^(k-2) P(1 - 1/X) + (X - 1)^(k-2) P(1/(1 - X)) = 0, evaluated in
     Fractions at X = 2 .. k+1.  Each left side times the cleared powers is a
     polynomial of degree <= k-2, so k distinct roots make it zero.  Shares
     no code with ek_basis, which builds the equations coefficient-wise."""
-    k = P.k
+    k = 2 * len(coeffs) + 4
 
     def p(x):
-        return sum(c * x ** (2 * i) for i, c in enumerate(P.coeffs, 1))
+        return sum(c * x ** (2 * i) for i, c in enumerate(coeffs, 1))
 
     for x in map(Fraction, range(2, k + 2)):
         if p(x) + x ** (k - 2) * p(1 / x):

@@ -16,7 +16,7 @@ from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, conjugate_M, kernel,
                              normalize_vector, same_span, symmetry_product)
 from dshuffle.numzeta import verify_relation
-from dshuffle.periodpoly import a_vector, ek_basis, ek_dim_formula, q_vector
+from dshuffle.periodpoly import ek_basis, ek_dim_formula, q_vector
 from dshuffle.regularization import (sh_basis_dim, shuffle_regularize,
                                      weight_relations)
 from dshuffle.relations import gkz_relations, ihara_relations
@@ -105,8 +105,8 @@ def test_criterion_07_duality():
         DB = build_D(k) @ build_B(k)
         image = [normalize_vector(DB.mul_vec(v)) for v in kernel(build_A(k))]
         assert same_span(image, kernel(build_A(k).transpose()))
-        for P in ek_basis(k):
-            assert list(q_vector(P)) == DB.mul_vec(a_vector(P))
+        for p in ek_basis(k):
+            assert list(q_vector(p)) == DB.mul_vec(p)
     _announce("Ker tA = DB Ker A and q = DB a for 12..40")
 
 

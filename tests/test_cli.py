@@ -62,6 +62,17 @@ def test_period_basis(capsys):
     assert "a = (1, -3, 3, -1)" in out
 
 
+def test_relation_kinds_reject_the_same_weights(capsys):
+    for k in range(-2, 65):
+        codes = {kind: run(capsys, "relations", "--weight", str(k), "--kind", kind)[0]
+                 for kind in ("bracket", "zeta", "all")}
+        assert len(set(codes.values())) == 1, (k, codes)
+    code, out, err = run(capsys, "relations", "--weight", "10", "--kind", "bracket")
+    assert code == 2
+    assert out == ""
+    assert "weight must be even and >= 12" in err
+
+
 def test_matrix_csv(capsys):
     code, out, _ = run(capsys, "matrix", "--which", "A", "--weight", "12",
                        "--format", "csv")
@@ -251,14 +262,20 @@ REPORT_12 = ["report", "--from", "12", "--to", "12"]
      REPORT_12, ["block structure violated"]),
     ("relations", "same_span", lambda vs, ws: False,
      REPORT_12, ["Ker tA != DB Ker A"]),
-    ("relations", "q_vector", q_bumped, REPORT_12, ["q_vector != DB a_vector"]),
+    ("relations", "q_vector", q_bumped, REPORT_12, ["q_vector != DB a"]),
     ("relations", "ek_dim_formula", lambda k: periodpoly.ek_dim_formula(k) + 1,
      REPORT_12, ["dimension mismatch"]),
     ("relations", "q_vector", q_bumped,
      ["relations", "--weight", "12"], ["q-vector fell outside Ker tA"]),
     ("relations", "stuffle", lambda u, v: NcPoly.zero(),
      ["check", "--weight", "12", "--digits", "15"], ["no unique scalar"]),
-], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "q_in_ker_tA", "scalar"])
+    ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
+     ["period-basis", "--weight", "12"], ["E_12 basis vector violates antisymmetry"]),
+    ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
+     ["relations", "--weight", "12", "--kind", "bracket"],
+     ["E_12 basis vector violates antisymmetry"]),
+], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "q_in_ker_tA", "scalar",
+        "antisymmetry", "antisymmetry_bracket"])
 def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, messages):
     monkeypatch.setattr(importlib.import_module(f"dshuffle.{module}"), name, fake)
     code, out, err = run(capsys, *argv)
