@@ -72,7 +72,7 @@ def _cmd_check(args) -> int:
     import mpmath as mp
 
     # Weight 40 at 40 digits evaluates its zetas at 59 (see verify_relation),
-    # well within zeta_double's 100.
+    # well within numzeta's 100.
     if not 15 <= args.digits <= 40:
         raise ValueError(f"--digits must be in 15..40, got {args.digits}")
     ok = True

@@ -5,19 +5,26 @@ of their word at 1/2 (Borwein, Bradley, Broadhurst and Lisonek, Special
 values of multiple polylogarithms, 2001): a sum of products of
 polylogarithms Li_u(1/2), nested sums that converge like 2^-m and need
 no regularization.  They are truncated by a proved bound and summed in
-integers rounded down, so no error bound is guessed.  A relation is
-compared with its exact scalar, relations.gkz_scalar, in one pass.
+integers rounded down, so no error bound is guessed.  The words of one
+call share one walk over their suffixes, so each common suffix is
+summed once.  A relation is compared with its exact scalar,
+relations.gkz_scalar, in one pass.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, islice
+from operator import floordiv, lshift, mul
+from os.path import commonprefix
 
 import mpmath as mp
 
 from .relations import Relation, gkz_scalar
+from .words import word_of_composition
 
 GUARD_DIGITS = 15
+_SWAP = str.maketrans("xy", "yx")
 
 
 def zeta_single(k: int, digits: int) -> mp.mpf:
@@ -36,14 +43,13 @@ def zeta_double(r: int, s: int, digits: int) -> mp.mpf:
         raise ValueError("zeta(r, s) requires r >= 2")
     if s < 1:
         raise ValueError("zeta(r, s) requires s >= 1")
-    if digits > 100:
-        raise ValueError("digits <= 100")
-    return _holder_zeta("x" * (r - 1) + "y" + "x" * (s - 1) + "y", digits)
+    w = word_of_composition((r, s))
+    return _holder_zetas([w], digits)[w]
 
 
-def _holder_zeta(w: str, digits: int) -> mp.mpf:
-    """zeta(w) for a convergent word w (first letter x, last letter y) by
-    the Hölder convolution at 1/2,
+def _holder_zetas(words, digits: int) -> dict:
+    """{w: zeta(w)} for convergent words w (first letter x, last letter y)
+    by the Hölder convolution at 1/2,
 
         zeta(w) = sum_{j=0..n} Li_{tau(w[:j])}(1/2) Li_{w[j:]}(1/2),
 
@@ -51,7 +57,8 @@ def _holder_zeta(w: str, digits: int) -> mp.mpf:
     empty word is 1.  Li_u(z) = sum_m c_u(m) z^m with c_y(m) = 1/m,
     c_xu(m) = c_u(m) / m and c_yu(m) = (1/m) sum_{l<m} c_u(l), so one
     back-to-front pass over w gives Li at 1/2 of all its suffixes.  The
-    tau-prefixes of w are the suffixes of tau(w): a second pass.
+    tau-prefixes of w are the suffixes of tau(w): a second pass.  The words
+    of one length and their tau images share one walk, see _suffix_li.
 
     Truncation.  The sums stop at m = N.  All c_u(m) >= 0, and for
     1/2 <= rho < 1, Li_u(rho) <= ln(1/(1-rho))^d with d <= n - 1 the number
@@ -74,34 +81,45 @@ def _holder_zeta(w: str, digits: int) -> mp.mpf:
     (zeta(w) <= zeta(2, 1, ..., 1) = zeta(d + 1) <= zeta(2) term by term, d
     the depth).  The total error is below 4 * 10^-D = 4 * 10^-(digits + 15).
     """
-    n = len(w)
+    if digits > 100:
+        raise ValueError("digits <= 100")
+    zetas = {}
     with mp.workdps(digits + GUARD_DIGITS):
         target = mp.mpf(10) ** -(digits + GUARD_DIGITS)
-        # N = 2 + log2((n + 1) ln(2N)^(n-1) / target) grows like log log N,
-        # so iterating it from below stops at the least N after a few steps
-        N = 2
-        while (need := 2 + int(mp.ceil(mp.log((n + 1) * mp.log(2 * N) ** (n - 1)
-                                              / target, 2)))) > N:
-            N = need
-        P = mp.mp.prec + ((n + 1) * (n + 2)).bit_length()
-        factors = []
-        for u in (w, w[::-1].translate(str.maketrans("xy", "yx"))):
-            c = [1 << P] + [0] * N  # the empty word: Li = 1
-            values = [1 << P]  # values[i]: Li(1/2) of the suffix of length i
-            for letter in reversed(u):
-                if letter == "x":
-                    c = [0] + [c[m] // m for m in range(1, N + 1)]
-                else:
-                    total, new = 0, [0]
-                    for m in range(1, N + 1):
-                        total += c[m - 1]
-                        new.append(total // m)
-                    c = new
-                values.append(sum(cm << (N - m) for m, cm in enumerate(c)) >> N)
-            factors.append(values)
-        suffixes, tau_prefixes = factors
-        return mp.ldexp(sum(a * b for a, b in zip(tau_prefixes, reversed(suffixes))),
-                        -2 * P)
+        for n in {len(w) for w in words}:
+            # N = 2 + log2((n + 1) ln(2N)^(n-1) / target) grows like log log N,
+            # so iterating it from below stops at the least N after a few steps
+            N = 2
+            while (need := 2 + int(mp.ceil(mp.log((n + 1) * mp.log(2 * N) ** (n - 1)
+                                                  / target, 2)))) > N:
+                N = need
+            P = mp.mp.prec + ((n + 1) * (n + 2)).bit_length()
+            tau = {w: w[::-1].translate(_SWAP) for w in words if len(w) == n}
+            li = _suffix_li(tau.keys() | tau.values(), N, P)
+            for w, t in tau.items():
+                zetas[w] = mp.ldexp(sum(map(mul, li[t], reversed(li[w]))), -2 * P)
+    return zetas
+
+
+def _suffix_li(words, N: int, P: int) -> dict:
+    """{u: [2^P Li_v(1/2) summed to m = N, rounded down, for the suffixes v
+    of u, shortest first]}.  One walk over the reversed words in sorted order
+    keeps only the c vectors of the current path, so a suffix that several
+    words share is computed once and memory stays at len(u) + 1 vectors."""
+    ranks, shifts = range(1, N + 1), range(N, -1, -1)
+    path, values = [[1 << P] + [0] * N], [1 << P]  # the empty word: Li = 1
+    li, prev = {}, ""
+    for rev in sorted(u[::-1] for u in words):
+        i = len(commonprefix((prev, rev)))
+        del path[i + 1:], values[i + 1:]
+        for letter in rev[i:]:
+            c = path[-1]
+            # c_x.(m) = c(m) // m and c_y.(m) = (c(0) + ... + c(m-1)) // m
+            path.append([0, *map(floordiv, islice(c, 1, None) if letter == "x"
+                                 else accumulate(islice(c, N)), ranks)])
+            values.append(sum(map(lshift, path[-1], shifts)) >> N)
+        li[rev[::-1]], prev = values.copy(), rev
+    return li
 
 
 def verify_relation(rel: Relation, digits: int) -> tuple:
@@ -111,15 +129,17 @@ def verify_relation(rel: Relation, digits: int) -> tuple:
     sum q_(r,s) zeta(r, s) = c * zeta(k), and the absolute residual
     |sum / zeta(k) - c|.  The zetas are taken ceil(log10 sum |q_(r,s)|)
     digits beyond `digits`, so their error, scaled by the coefficients,
-    stays within the guard digits.
+    stays within the guard digits.  One _holder_zetas call takes them all.
     """
     if rel.kind != "double_zeta":
         raise ValueError("only double_zeta relations can be verified numerically")
     scalar = gkz_scalar(rel)
     size = sum(abs(c) for c in rel.coefficients())
     d = digits + math.ceil(math.log10(max(size, 1)))
+    words = {rs: word_of_composition(rs) for rs, c in rel.terms if c}
+    zetas = _holder_zetas(words.values(), d)
     with mp.workdps(d + GUARD_DIGITS):
-        total = mp.fsum(mp.mpf(c.numerator) / c.denominator * zeta_double(r, s, d)
-                        for (r, s), c in rel.terms if c)
+        total = mp.fsum(mp.mpf(c.numerator) / c.denominator * zetas[words[rs]]
+                        for rs, c in rel.terms if c)
         ratio = total / zeta_single(rel.weight, d)
         return +abs(ratio - mp.mpf(scalar.numerator) / scalar.denominator), scalar

@@ -8,6 +8,7 @@ import mpmath as mp
 from hypothesis import strategies as st
 
 from dshuffle.lie import admissible_stuffle_pairs, bracket
+from dshuffle.numzeta import GUARD_DIGITS
 from dshuffle.regularization import star_regularize
 from dshuffle.words import NcPoly, accumulate, pair, shuffle_poly, stuffle
 
@@ -279,3 +280,39 @@ def nsum_zeta_double(r, s, digits):
             return (zs - mp.zeta(s, m)) / mp.mpf(m) ** r
 
         return +mp.nsum(term, [2, mp.inf])
+
+
+def holder_zeta_oracle(w, digits):
+    """zeta(w) for one convergent word w by the Hölder convolution at 1/2,
+    as numzeta._holder_zetas computes it, with N and P chosen the same way,
+    but from two passes of its own, over w and over tau(w), with plain
+    loops and nothing shared between words.  Each division rounds down as
+    there, so the two must agree exactly, not to a tolerance."""
+    n = len(w)
+    with mp.workdps(digits + GUARD_DIGITS):
+        target = mp.mpf(10) ** -(digits + GUARD_DIGITS)
+        # N = 2 + log2((n + 1) ln(2N)^(n-1) / target) grows like log log N,
+        # so iterating it from below stops at the least N after a few steps
+        N = 2
+        while (need := 2 + int(mp.ceil(mp.log((n + 1) * mp.log(2 * N) ** (n - 1)
+                                              / target, 2)))) > N:
+            N = need
+        P = mp.mp.prec + ((n + 1) * (n + 2)).bit_length()
+        factors = []
+        for u in (w, w[::-1].translate(str.maketrans("xy", "yx"))):
+            c = [1 << P] + [0] * N  # the empty word: Li = 1
+            values = [1 << P]  # values[i]: Li(1/2) of the suffix of length i
+            for letter in reversed(u):
+                if letter == "x":
+                    c = [0] + [c[m] // m for m in range(1, N + 1)]
+                else:
+                    total, new = 0, [0]
+                    for m in range(1, N + 1):
+                        total += c[m - 1]
+                        new.append(total // m)
+                    c = new
+                values.append(sum(cm << (N - m) for m, cm in enumerate(c)) >> N)
+            factors.append(values)
+        suffixes, tau_prefixes = factors
+        return mp.ldexp(sum(a * b for a, b in zip(tau_prefixes, reversed(suffixes))),
+                        -2 * P)

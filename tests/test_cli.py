@@ -122,9 +122,13 @@ def test_check_weight40_at_40_digits(capsys):
 
 def test_check_fails_below_requested_digits(capsys, monkeypatch):
     # values off by 10^-25 must not pass a 30-digit check
-    exact = numzeta.zeta_double
-    monkeypatch.setattr(numzeta, "zeta_double",
-                        lambda r, s, digits: exact(r, s, digits) + mp.mpf(10) ** -25)
+    exact = numzeta._holder_zetas
+
+    def perturbed(words, digits):
+        with mp.workdps(digits + numzeta.GUARD_DIGITS):
+            return {w: z + mp.mpf(10) ** -25 for w, z in exact(words, digits).items()}
+
+    monkeypatch.setattr(numzeta, "_holder_zetas", perturbed)
     code, out, _ = run(capsys, "check", "--weight", "12", "--digits", "30")
     assert code == 1
     assert out.startswith("FAIL ")

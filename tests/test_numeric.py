@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from conftest import nsum_zeta_double, reconstruct_rational
-from dshuffle.numzeta import verify_relation, zeta_double, zeta_single
+from conftest import holder_zeta_oracle, nsum_zeta_double, reconstruct_rational
+from dshuffle.numzeta import _holder_zetas, verify_relation, zeta_double, zeta_single
+from dshuffle.words import word_of_composition
 from dshuffle.relations import Relation, gkz_relations, gkz_scalar, ihara_relations
 
 
@@ -63,6 +65,26 @@ def test_zeta_double_guards():
         zeta_double(2, 1, 101)
 
 
+@pytest.mark.parametrize("digits", [15, 30, 40, 59])
+def test_holder_zetas_match_the_one_word_oracle(digits):
+    # the shared walk must make exactly the integers of two plain passes
+    for k in range(3, 41):
+        words = [word_of_composition((r, k - r)) for r in range(2, k)]
+        zetas = _holder_zetas(words, digits)
+        assert zetas.keys() == set(words)
+        assert all(zetas[w] == holder_zeta_oracle(w, digits) for w in words), k
+
+
+def test_holder_zetas_mix_depths_and_lengths():
+    # every convergent word of weight <= 10 in one call: several N and P,
+    # and tau images that are themselves words of the call
+    words = ["".join(t) for n in range(2, 11) for t in itertools.product("xy", repeat=n)
+             if t[0] == "x" and t[-1] == "y"]
+    zetas = _holder_zetas(words, 30)
+    assert len(zetas) == len(words) == 511
+    assert all(zetas[w] == holder_zeta_oracle(w, 30) for w in words)
+
+
 # The terms of the weight-12 and weight-16 double zeta relations, and the
 # s = 1 column, which the oracle sums through zeta'(r).
 ORACLE_PAIRS = [(9, 3), (7, 5), (5, 7), (13, 3), (11, 5), (9, 7), (7, 9), (5, 11),
@@ -117,6 +139,12 @@ def test_verify_keeps_guard_digits_at_weight40(digits):
         residual, _ = verify_relation(rel, digits)
         with mp.workdps(digits + 20):
             assert residual < mp.mpf(10) ** -(digits + 14)
+
+
+def test_verify_rejects_working_digits_above_100():
+    # 90 digits plus ceil(log10 sum |q|) = 19 at weight 40 is 109 working digits
+    with pytest.raises(ValueError):
+        verify_relation(gkz_relations(40)[0], 90)
 
 
 def test_verify_rejects_bracket_relations():
