@@ -134,7 +134,7 @@ def verify_relation(rel: Relation, digits: int) -> tuple:
     if rel.kind != "double_zeta":
         raise ValueError("only double_zeta relations can be verified numerically")
     scalar = gkz_scalar(rel)
-    size = sum(abs(c) for c in rel.coefficients())
+    size = sum(abs(c) for _, c in rel.terms)
     d = digits + math.ceil(math.log10(max(size, 1)))
     words = {rs: word_of_composition(rs) for rs, c in rel.terms if c}
     zetas = _holder_zetas(words.values(), d)

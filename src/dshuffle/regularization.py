@@ -66,8 +66,6 @@ def star_units(N: int) -> tuple:
     """Z*(1, ..., 1) with r ones for r = 0 .. N: the y^r coefficients E_r of
     exp( sum_{r>=2} ((-1)^(r-1)/r) Z(r) y^r ), by Newton's identity
     r E_r = sum_{i=2..r} (-1)^(i-1) Z(i) E_(r-i) from E_0 = 1."""
-    if N > 12:
-        raise ValueError("star units are truncated at weight 12")
     units = [NcPoly.one()]
     for r in range(1, N + 1):
         out: dict = {}

@@ -79,15 +79,6 @@ class NcPoly:
     def words(self) -> Iterator[Word]:
         return iter(sorted(self.terms, key=word_key))
 
-    def poly_weight(self) -> int | None:
-        """Common weight of all terms, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) != 1:
-            raise ValueError("polynomial is not weight-homogeneous")
-        return lengths.pop()
-
     # -- arithmetic ---------------------------------------------------
 
     @staticmethod

@@ -180,6 +180,46 @@ def necklace_count(n):
     return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
 
 
+def poly_weight(f):
+    """Common weight of all terms of f, or None for the zero polynomial."""
+    lengths = {len(w) for w in f.terms}
+    if len(lengths) > 1:
+        raise ValueError("polynomial is not weight-homogeneous")
+    return lengths.pop() if lengths else None
+
+
+def _partitions(n, largest):
+    """Partitions of n into parts 2 <= r <= largest, parts non-increasing."""
+    if not n:
+        yield ()
+    for r in range(min(n, largest), 1, -1):
+        for rest in _partitions(n - r, r):
+            yield (r,) + rest
+
+
+def star_unit_oracle(N):
+    """The y^N coefficient of exp(sum_{r>=2} (-1)^(r-1) Z(r) y^r / r),
+    expanded term by term: for each partition of N into parts r >= 2, each
+    taken m_r times, the product of ((-1)^(r-1) Z(r) / r)^(m_r) / m_r!, with
+    Z symbols multiplied by shuffle_oracle.  Shares nothing with the Newton
+    recursion of star_units or with words' shuffle."""
+    out = Counter()
+    for parts in _partitions(N, N):
+        coeff = Fraction(1)
+        for r, m in Counter(parts).items():
+            coeff *= Fraction((-1) ** ((r - 1) * m), r ** m * math.factorial(m))
+        product = {"": 1}
+        for r in parts:  # longest first, so the growing product meets short words
+            step = Counter()
+            for u, c in product.items():
+                for t, d in shuffle_oracle(u, "x" * (r - 1) + "y").items():
+                    step[t] += c * d
+            product = step
+        for t, c in product.items():
+            out[t] += coeff * c
+    return NcPoly(out)
+
+
 def dynkin(f):
     """Linear extension of the left-to-right bracketing map
     w = l1 l2 ... ln -> [...[[l1, l2], l3]..., ln]."""
@@ -199,7 +239,7 @@ def dynkin(f):
 
 def is_lie(f):
     """Dynkin criterion: f of weight n is a Lie polynomial iff dynkin(f) = n f."""
-    n = f.poly_weight()
+    n = poly_weight(f)
     if n is None:
         return True
     if n < 1:
@@ -212,7 +252,7 @@ def ds_check(f):
     the admissible stuffle pairs (u, v) with (f | u * v) != 0, led by the
     pair ("dynkin", "dynkin") when f is not a Lie polynomial.  Empty means
     f passes every condition; ds_solve must only return such f."""
-    n = f.poly_weight()
+    n = poly_weight(f)
     if n is None:
         return []
     if n < 3:

@@ -211,11 +211,19 @@ def test_regularize_14_letter_word_exits_0(capsys):
     assert out == "-Z(9, 1, 1, 1, 1, 1)\n"
 
 
-def test_star_regularize_y13_exit_2(capsys):
-    code, out, err = run(capsys, "regularize", "--word", "y" * 13, "--star")
+@pytest.mark.parametrize("m, lead", [(13, "1/13 Z(13)"), (14, "-1/14 Z(14)")],
+                         ids=["y13", "y14"])
+def test_star_regularize_up_to_14_letters_exit_0(capsys, m, lead):
+    code, out, _ = run(capsys, "regularize", "--word", "y" * m, "--star")
+    assert code == 0
+    assert out.startswith(lead)
+
+
+def test_star_regularize_y15_exit_2(capsys):
+    code, out, err = run(capsys, "regularize", "--word", "y" * 15, "--star")
     assert code == 2
     assert out == ""
-    assert "star units are truncated at weight 12" in err
+    assert "at most 14 letters" in err
 
 
 @pytest.mark.parametrize("start, stop", [("38", "44"), ("20", "12")])
@@ -270,7 +278,7 @@ REPORT_12 = ["report", "--from", "12", "--to", "12"]
     ("relations", "ek_dim_formula", lambda k: periodpoly.ek_dim_formula(k) + 1,
      REPORT_12, ["dimension mismatch"]),
     ("relations", "q_vector", q_bumped,
-     ["relations", "--weight", "12"], ["q-vector fell outside Ker tA"]),
+     ["relations", "--weight", "12"], ["emitted relations do not span Ker tA"]),
     ("relations", "stuffle", lambda u, v: NcPoly.zero(),
      ["check", "--weight", "12", "--digits", "15"], ["no unique scalar"]),
     ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
@@ -278,7 +286,7 @@ REPORT_12 = ["report", "--from", "12", "--to", "12"]
     ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
      ["relations", "--weight", "12", "--kind", "bracket"],
      ["E_12 basis vector violates antisymmetry"]),
-], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "q_in_ker_tA", "scalar",
+], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "span_ker_tA", "scalar",
         "antisymmetry", "antisymmetry_bracket"])
 def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, messages):
     monkeypatch.setattr(importlib.import_module(f"dshuffle.{module}"), name, fake)

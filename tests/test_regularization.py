@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rref, fraction_stuffle_relation, words, y_words
+from conftest import (fraction_rref, fraction_stuffle_relation, poly_weight,
+                      star_unit_oracle, words, y_words)
 from dshuffle.linalg import Mat
 from dshuffle.regularization import (_scaled_star, decompose, fz_quotient_dim,
                                      sh_basis_dim, shuffle_regularize,
@@ -96,6 +97,10 @@ def test_star_units_low_weight():
     assert units[3] == Z(3).scale(Fraction(1, 3))
 
 
+def test_star_units_match_exponential_expansion():
+    assert list(star_units(14)) == [star_unit_oracle(N) for N in range(15)]
+
+
 def test_star_regularize_cases():
     assert star_regularize("xy") == Z(2)
     assert star_regularize("yy") == Z(2).scale(Fraction(-1, 2))
@@ -168,7 +173,7 @@ def test_sh_basis_dim_rank_matches_natural_column_order(n):
 
 def test_weight_relations_homogeneous():
     for rel in weight_relations(4):
-        assert rel.poly_weight() == 4
+        assert poly_weight(rel) == 4
         assert not rel.coeff("")
 
 
@@ -177,13 +182,11 @@ def test_range_guards():
         fz_quotient_dim(11)
     with pytest.raises(ValueError):
         sh_basis_dim(1)
-    with pytest.raises(ValueError):
-        star_units(13)
 
 
 def test_star_regularize_reads_only_leading_units():
-    # Z*(y v) = E_0 Z(y v) + E_1 Z(v) with E_1 = 0, also past the weight-12
-    # cap of the star units
+    # Z*(y v) = E_0 Z(y v) + E_1 Z(v) with E_1 = 0: a 13-letter word needs
+    # only the first two star units
     w = "y" + "x" * 11 + "y"
     assert star_regularize(w) == shuffle_regularize(w)
 

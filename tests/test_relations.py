@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -29,10 +28,7 @@ RELATION_SCHEMA = {
                 },
             },
         },
-        "scalar_estimate": {
-            "type": ["string", "null"],
-            "pattern": r"^-?\d+(/\d+)?$",
-        },
+        "scalar_estimate": {"type": "null"},
     },
 }
 
@@ -121,20 +117,6 @@ def test_relation_json_schema():
     for rel in ihara_relations(12) + gkz_relations(12) + gkz_relations(24):
         doc = json.loads(json.dumps(rel.to_dict()))
         jsonschema.validate(doc, RELATION_SCHEMA)
-
-
-def test_relation_with_scalar_estimate_serializes():
-    rel = Relation(weight=12, kind="double_zeta",
-                   terms=(((9, 3), Fraction(28)),),
-                   scalar_estimate=Fraction(5197, 691))
-    doc = rel.to_dict()
-    assert doc["scalar_estimate"] == "5197/691"
-    jsonschema.validate(doc, RELATION_SCHEMA)
-
-
-def test_relation_coefficients_helper():
-    rel = gkz_relations(12)[0]
-    assert rel.coefficients() == [28, 150, 168, 0]
 
 
 def test_report_weight12_all_ok():
