@@ -16,15 +16,17 @@ row scale x column scale.
 
 There is one elimination, kernel, and it works by cutting the identity: an
 int basis K of Q^ncols loses one vector per independent row of the matrix,
-and a dependent row costs |K| dot products, each over the row's nonzero
-columns only.  K ends in a reduced echelon form of its own, so kernel bases
-are canonical, and reproducible whatever the row order: int entries, content
-1, first nonzero positive, one vector per free column.  rref reads the
-unique reduced row echelon form off that basis, and rank is ncols - dim
-kernel of whichever of M and M^t has fewer columns.  Every matrix the
-correspondence and the solvers hand to kernel or rref is tall or square
-with a small kernel (ds_solve at weight 9: 508 x 56, rank 55), so |K| is
-small for almost every row.
+and a dependent row costs |K| dot products.  K ends in a reduced echelon
+form of its own, so kernel bases are canonical, and reproducible whatever
+the row order: int entries, content 1, first nonzero positive, one vector
+per free column.  So kernel takes the rows in the order of their last
+nonzero column.  Then a unit vector e_c joins K only when a row first
+reaches column c, and each vector of K is kept only up to the column it
+owns, past which it is zero.  rref reads the unique reduced row echelon
+form off that basis, and rank is ncols - dim kernel of whichever of M and
+M^t has fewer columns.  Every matrix the correspondence and the solvers
+hand to kernel or rref is tall or square with a small kernel (ds_solve at
+weight 9: 508 x 56, rank 55), so |K| is small for almost every row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .words import format_rational, scaled, unscaled
@@ -101,7 +103,7 @@ class Mat:
 
     def rank(self) -> int:
         """ncols - dim kernel, taken on whichever of M and M^t has fewer
-        columns, as kernel starts from one vector per column."""
+        columns, as kernel keeps up to one vector per column."""
         M = self.transpose() if self.nrows < self.ncols else self
         return M.ncols - len(kernel(M))
 
@@ -147,10 +149,12 @@ def _content_free(ints: list) -> list:
 
 def _cut(row: list, f: int, v: list, e: int) -> list:
     """(e/g) row - (f/g) v over its content, g = gcd(e, f): zero under every
-    linear form that is f on row and e on v."""
+    linear form that is f on row and e on v.  v may be shorter than row, as
+    a prefix padded with zeros; row's tail past v is only scaled."""
     g = math.gcd(e, f)
     a, b = e // g, f // g
-    return _content_free([a * x - b * y for x, y in zip(row, v)])
+    tail = [a * x for x in row[len(v):]]
+    return _content_free([a * x - b * y for x, y in zip(row, v)] + tail)
 
 
 def _products(rows: Sequence, cols: list) -> list:
@@ -173,25 +177,38 @@ def kernel(M: Mat) -> list:
 
     K starts as the int identity basis of Q^ncols, and each of its vectors
     owns the column of the unit vector it started as.  For each int row v of
-    M, t_j = v . k_j, summed over the nonzero entries of v.  If every t_j is
-    0, v lies in the row space already and K stays.  Otherwise the first k_j0
-    with t_j0 != 0 is dropped and every other k_j becomes
-    _cut(k_j, t_j, k_j0, t_j0), which v annihilates.  Throughout, K spans the
-    null space of the rows seen so far, and each k_j is nonzero at its own
-    column, zero at the columns the others own and at every later column.
-    Such a basis is unique up to scaling, so the columns still owned at the
-    end are the free ones and K, normalized, is the canonical basis.  Once K
-    is empty, no later row can change it.  A unit row at column c meets only
-    the k_j nonzero at c; when that is one vector, it is dropped and nothing
-    is cut."""
+    M, t_j = v . k_j.  If every t_j is 0, v lies in the row space already and
+    K stays.  Otherwise the first k_j0 with t_j0 != 0 is dropped and every
+    other k_j becomes _cut(k_j, t_j, k_j0, t_j0), which v annihilates.
+    Throughout, K spans the null space of the rows seen so far, and each k_j
+    is nonzero at its own column, zero at the columns the others own and at
+    every later column.  Such a basis is unique up to scaling, so the columns
+    still owned at the end are the free ones and K, normalized, is the
+    canonical basis, whatever the order of the rows.
+
+    So the nonzero rows go in the order of their last nonzero column, stably,
+    and each k_j is kept as its prefix up to its own column, padded with
+    zeros only when it is normalized.  A row that ends before column c leaves
+    e_c alone, so e_c joins K only when the first row reaching c comes, after
+    every vector that owns an earlier column, and the columns no row reaches
+    join at the end.  t_j = sum(map(mul, v, k_j)) stops at the end of k_j.
+    k_j0 owns the least column of the vectors cut, so it is the shortest of
+    them, and _cut scales the tail of k_j past it.  Once every column has
+    joined and K is empty, no later row can change it."""
     n = M.ncols
-    K = [[int(i == j) for j in range(n)] for i in range(n)]
-    for row in M.rows:
-        if not K:
+    back = range(n - 1, -1, -1)
+    rows = sorted([(last, row) for row in M.rows
+                   if (last := next(compress(back, reversed(row)), -1)) >= 0],
+                  key=itemgetter(0))
+    K = []
+    opened = 0  # the columns 0..opened-1 have joined K
+    for last, row in rows:
+        if not K and opened == n:
             break
+        K += ([0] * c + [1] for c in range(opened, last + 1))
+        opened = last + 1
         v = scaled(row)[0]
-        cols, xs = list(compress(range(n), v)), list(compress(v, v))
-        ts = [sum(map(mul, xs, map(k.__getitem__, cols))) for k in K]
+        ts = [sum(map(mul, v, k)) for k in K]
         j0 = next((j for j, t in enumerate(ts) if t), None)
         if j0 is None:
             continue
@@ -199,7 +216,8 @@ def kernel(M: Mat) -> list:
         for j, t in enumerate(ts):
             if t:
                 K[j] = _cut(K[j], t, k0, e)
-    return [normalize_vector(k) for k in K]
+    K += ([0] * c + [1] for c in range(opened, n))
+    return [normalize_vector(k) + [0] * (n - len(k)) for k in K]
 
 
 def same_span(vs: list, ws: list) -> bool:

@@ -153,8 +153,11 @@ def sh_basis_dim(n: int) -> int:
     shuffle-regularization relation rows w - reg(w), w non-convergent;
     equals 2^(n-2).  The columns put the non-convergent words first, so the
     matrix is [I | -R].  It is wide, so rank takes the kernel of its
-    transpose, whose leading rows are the unit rows of I: each drops one
-    vector of K and cuts none, and K is empty once they are through."""
+    transpose, whose leading rows are the unit rows e_c of I.  kernel takes
+    the rows by their last nonzero column, stably, so e_c is the first row
+    to reach column c: it adds e_c to K and drops it, cutting nothing.  So
+    K is empty whenever a row of -R^t comes, and those rows cost no dot
+    product."""
     if not 2 <= n <= 8:
         raise ValueError("2 <= n <= 8")
     from .linalg import Mat

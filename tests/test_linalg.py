@@ -120,7 +120,8 @@ def test_rref_is_row_order_invariant(rows, data):
     assert (red.rows, pivots) == fraction_rref(rows)
 
 
-@pytest.mark.parametrize("solve, n", [(fz_quotient_dim, 7), (sh_basis_dim, 6)])
+@pytest.mark.parametrize("solve, n", [(fz_quotient_dim, 7), (sh_basis_dim, 6),
+                                      (fz_quotient_dim, 8), (sh_basis_dim, 8)])
 def test_rref_matches_fraction_oracle_on_solver_matrices(monkeypatch, solve, n):
     # fz_quotient_dim asks for an rref of a tall matrix and sh_basis_dim for
     # the rank of a wide one, read off the kernel of its transpose; ds_solve
@@ -158,6 +159,78 @@ def test_kernel_of_empty_and_zero_matrices():
     assert kernel(Mat([])) == fraction_kernel([]) == []
     assert kernel(Mat([[0, 0, 0]] * 2)) == fraction_kernel([[0, 0, 0]] * 2) == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("rows", [
+    # columns 2..4 are reached by no row and join K at the end
+    [[1, 2, 0, 0, 0], [0, 3, 0, 0, 0]],
+    # zero rows between, before and after the others are skipped
+    [[0, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0], [3, 1, 7, 0]],
+    # last nonzero columns 3, 2, 1, 0: visited in the reverse of this order
+    [[1, 1, 1, 1], [2, 0, 1, 0], [0, 3, 0, 0], [5, 0, 0, 0]],
+    [[1, 2, 3, 4, 5], [0, 0, 6, 7, 0], [0, 8, 0, 0, 0], [9, 0, 0, 0, 0]],
+    # e = 2 does not divide t = 3, so k_2 = e_2 is cut to 2 e_2 - 3 e_0,
+    # keeping its tail past k_0 = e_0
+    [[2, 0, 3]],
+    [[2, 0, 3, 0], [0, 0, 0, 5], [4, 6, 0, 1]],
+], ids=["unreached-columns", "zero-rows", "descending", "descending-wide",
+        "cut-with-tail", "cut-with-tail-2"])
+def test_kernel_edge_cases_match_fraction_oracle(rows):
+    assert kernel(Mat(rows)) == fraction_kernel(rows)
+    assert kernel(Mat(rows[::-1])) == fraction_kernel(rows)
+
+
+def test_cut_scales_the_tail_past_the_shorter_vector():
+    # 2 (0, 0, 1) - 3 (1): the tail (0, 1) of the longer vector is doubled,
+    # not dropped as zip would drop it
+    assert linalg._cut([0, 0, 1], 3, [1], 2) == [-3, 0, 2]
+
+
+def test_kernel_of_a_matrix_without_columns():
+    # a Mat with no rows has no columns either, so the nearest case to a
+    # 0-row matrix with n columns is an all-zero one, where every column
+    # joins K at the end (test_kernel_of_empty_and_zero_matrices)
+    assert kernel(Mat([[]] * 3)) == fraction_kernel([[]] * 3) == []
+
+
+@st.composite
+def _sparse_int_rows(draw, max_rows=24, max_cols=16):
+    """Up to max_rows x max_cols, mostly zero: a few nonzero entries per row,
+    so rows end at scattered columns, plus some sums of two earlier rows."""
+    nr, nc = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    rows = [[0] * nc for _ in range(nr)]
+    cells = st.tuples(st.integers(0, nc - 1), st.integers(-9, 9))
+    for row in rows:
+        for c, x in draw(st.lists(cells, max_size=4)):
+            row[c] = x
+    for i in range(1, nr):
+        if draw(st.integers(0, 4)) == 0:
+            j = draw(st.integers(0, i - 1))
+            rows[i] = [x + y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(_sparse_int_rows(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_fraction_oracle_on_sparse_matrices(rows, data):
+    # kernel reorders the rows by their last nonzero column; the caller's
+    # order must not show in its basis
+    expected = fraction_kernel(rows)
+    assert kernel(Mat(rows)) == expected
+    assert kernel(Mat(data.draw(st.permutations(rows)))) == expected
+
+
+def test_ds_solve_kernel_ignores_the_row_order(monkeypatch):
+    seen = []
+
+    def spy(M):
+        seen.append(M.rows)
+        return kernel(M)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    ds_solve(8)
+    (rows,) = seen
+    assert kernel(Mat(rows[::-1])) == kernel(Mat(rows)) == fraction_kernel(rows)
 
 
 def _gkz_scalars(k):
