@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 
-from . import linalg, relations
+import mpmath as mp
+
+from . import lie, linalg, numzeta, periodpoly, regularization, relations
 from .words import ConsistencyError, format_rational
 
 
@@ -48,11 +50,10 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_period_basis(args) -> int:
-    from .periodpoly import ek_basis, period_str, q_vector
-    for p in ek_basis(args.weight):
-        print(period_str(p))
+    for p in periodpoly.ek_basis(args.weight):
+        print(periodpoly.period_str(p))
         print("  a =", "(" + ", ".join(format_rational(c) for c in p) + ")")
-        print("  q =", "(" + ", ".join(format_rational(c) for c in q_vector(p)) + ")")
+        print("  q =", "(" + ", ".join(map(format_rational, periodpoly.q_vector(p))) + ")")
     return 0
 
 
@@ -68,9 +69,6 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .numzeta import verify_relation
-    import mpmath as mp
-
     # Weight 40 at 40 digits evaluates its zetas at 59 (see verify_relation),
     # well within numzeta's 100.
     if not 15 <= args.digits <= 40:
@@ -82,7 +80,7 @@ def _cmd_check(args) -> int:
         return 0
     threshold = mp.mpf(10) ** -args.digits
     for rel in rels:
-        residual, scalar = verify_relation(rel, args.digits)
+        residual, scalar = numzeta.verify_relation(rel, args.digits)
         status = "ok" if residual < threshold else "FAIL"
         if status == "FAIL":
             ok = False
@@ -106,8 +104,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_ds_solve(args) -> int:
-    from .lie import ds_solve
-    basis = ds_solve(args.weight)
+    basis = lie.ds_solve(args.weight)
     print(f"dim ds_{args.weight} (depth-graded solver) = {len(basis)}")
     for f in basis:
         print(str(f))
@@ -115,23 +112,20 @@ def _cmd_ds_solve(args) -> int:
 
 
 def _cmd_regularize(args) -> int:
-    from .regularization import shuffle_regularize, star_regularize, zeta_str
-
     # In a fresh process the costliest 14-letter words found, y^10 x^3 y --star
     # and y^6 x^8, take under 1.5 s and 100 MB; y^8 x^8 takes 4.3 s and 415 MB.
     if len(args.word) > 14:
         raise ValueError(f"--word must have at most 14 letters, got {len(args.word)}")
-    combo = star_regularize(args.word) if args.star else shuffle_regularize(args.word)
-    print(zeta_str(combo))
+    reg = regularization.star_regularize if args.star else regularization.shuffle_regularize
+    print(regularization.zeta_str(reg(args.word)))
     return 0
 
 
 def _cmd_fz_dim(args) -> int:
-    from .regularization import fz_quotient_dim, zeta_str
-    dim, basis = fz_quotient_dim(args.weight)
+    dim, basis = regularization.fz_quotient_dim(args.weight)
     print(f"dim weight-{args.weight} formal zeta quotient = {dim}")
     for rel in basis:
-        print(f"{zeta_str(rel)} = 0")
+        print(f"{regularization.zeta_str(rel)} = 0")
     return 0
 
 

@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import NcPoly, Word, accumulate, concat, pair, stuffle, stuffle_pairs
+from .words import (NcPoly, Word, accumulate, concat, pair, stuffle, stuffle_pairs,
+                    words_of_weight)
 
 Y = NcPoly.word("y")
 
@@ -70,19 +71,9 @@ def admissible_stuffle_pairs(n: int) -> list:
 
 
 def lyndon_words(n: int) -> list:
-    """Lyndon words of length n over x < y (Duval's generation)."""
-    out = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if m == n:
-            out.append("".join("xy"[c] for c in w))
-        while len(w) < n:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
-            w.pop()
-    return out
+    """Lyndon words of length n over x < y, in lexicographic order: the words
+    strictly smaller than each of their proper rotations."""
+    return [w for w in words_of_weight(n) if all(w < w[i:] + w[:i] for i in range(1, n))]
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +101,8 @@ def ds_solve(n: int) -> list:
     """
     if not 3 <= n <= 10:
         raise ValueError("ds_solve supports 3 <= n <= 10")
+    # at call time: linalg.build_A_symbolic imports lie, and one module-level
+    # import each way would be a cycle
     from .linalg import Mat, kernel
 
     basis = lie_basis(n)

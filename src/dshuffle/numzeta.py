@@ -83,7 +83,7 @@ def _holder_zetas(words, digits: int) -> dict:
     """
     if digits > 100:
         raise ValueError("digits <= 100")
-    zetas = {}
+    words, zetas = list(words), {}  # read once: words may be an iterator
     with mp.workdps(digits + GUARD_DIGITS):
         target = mp.mpf(10) ** -(digits + GUARD_DIGITS)
         for n in {len(w) for w in words}:

@@ -58,8 +58,6 @@ def ek_basis(k: int) -> List[list]:
     if k % 2 or not 4 <= k <= 60:
         raise ValueError("weight must be even with 4 <= k <= 60")
     n = (k - 4) // 2
-    if n == 0:
-        return []
     rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0
     for i in range(1, n + 1):

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import Mat
 from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
                     composition_of_word, format_terms, is_convergent, scaled,
                     shuffle, shuffle_poly, stuffle, stuffle_pairs, unscaled,
@@ -133,16 +134,12 @@ def fz_quotient_dim(n: int) -> tuple:
     basis of the relation space (rows over convergent symbols)."""
     if not 2 <= n <= 10:
         raise ValueError("quotient dimensions are desk-scale: 2 <= n <= 10")
-    from .linalg import Mat
-
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
     rows = []
     for rel in weight_relations(n):
         if rel.coeff(""):
             raise ConsistencyError("weight-homogeneous relation grew a scalar part")
         rows.append([rel.coeff(w) for w in symbols])
-    if not rows:
-        return len(symbols), []
     red, pivots = Mat(rows).rref()
     basis = [NcPoly(dict(zip(symbols, row))) for row in red.rows[: len(pivots)]]
     return len(symbols) - len(pivots), basis
@@ -160,8 +157,6 @@ def sh_basis_dim(n: int) -> int:
     product."""
     if not 2 <= n <= 8:
         raise ValueError("2 <= n <= 8")
-    from .linalg import Mat
-
     columns = sorted(words_of_weight(n), key=is_convergent)  # stable: False first
     index = {w: i for i, w in enumerate(columns)}
     rows = []

@@ -57,13 +57,13 @@ class Relation:
 
 def ihara_relations(k: int) -> List[Relation]:
     """One bracket relation per period polynomial basis element, with
-    coefficients (a_1, ..., a_floor((k-4)/4)); first coefficient positive.
-    Takes the weights build_A takes, as gkz_relations does."""
+    coefficients (a_1, ..., a_floor((k-4)/4)), the first half of its vector;
+    by antisymmetry that half has the vector's content 1 and positive first
+    entry.  Takes the weights build_A takes, as gkz_relations does."""
     out = []
     m = _check_weight(k) // 2
     for p in ek_basis(k):
-        a = normalize_vector(p[:m])
-        terms = tuple(((2 * i + 1, k - 2 * i - 1), a[i - 1]) for i in range(1, m + 1))
+        terms = tuple(((2 * i + 1, k - 2 * i - 1), p[i - 1]) for i in range(1, m + 1))
         out.append(Relation(weight=k, kind="bracket", terms=terms))
     return out
 
@@ -167,8 +167,7 @@ def correspondence_report(k: int) -> dict:
     if not block_ok:
         failures.append("block structure violated")
 
-    image = [normalize_vector(DB.mul_vec(v)) for v in ker_A]
-    duality_span_ok = same_span(image, ker_tA)
+    duality_span_ok = same_span([DB.mul_vec(v) for v in ker_A], ker_tA)
     if not duality_span_ok:
         failures.append("Ker tA != DB Ker A")
 

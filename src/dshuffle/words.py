@@ -257,16 +257,12 @@ def concat(f: NcPoly, g: NcPoly) -> NcPoly:
 # -- word <-> composition dictionary -------------------------------------
 
 
-def check_composition(parts) -> tuple:
+def word_of_composition(parts) -> Word:
+    """(r_1, ..., r_k) -> x^(r_1 - 1) y ... x^(r_k - 1) y."""
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts) or parts[0] < 2:
         raise ValueError(f"not an admissible composition: {parts}")
-    return parts
-
-
-def word_of_composition(parts) -> Word:
-    """(r_1, ..., r_k) -> x^(r_1 - 1) y ... x^(r_k - 1) y."""
-    return "".join("x" * (i - 1) + "y" for i in check_composition(parts))
+    return "".join("x" * (i - 1) + "y" for i in parts)
 
 
 def composition_of_word(w: Word) -> tuple:

@@ -107,9 +107,11 @@ def test_lyndon_words_small():
 
 
 def test_lyndon_counts_match_necklace_formula():
-    for n in range(1, 9):
+    for n in range(1, 13):
         ws = lyndon_words(n)
         assert len(ws) == necklace_count(n)
+        # the ds_solve basis, and so its recorded digests, follow this order
+        assert ws == sorted(ws)
         assert len(set(ws)) == len(ws)
         for w in ws:
             assert all(w < w[i:] + w[:i] for i in range(1, len(w))) or len(w) == 1

@@ -157,6 +157,8 @@ def test_kernel_matches_fraction_oracle(rows, data):
 
 def test_kernel_of_empty_and_zero_matrices():
     assert kernel(Mat([])) == fraction_kernel([]) == []
+    # fz_quotient_dim(2) has no relation rows and takes this rref as is
+    assert Mat([]).rref() == (Mat([]), [])
     assert kernel(Mat([[0, 0, 0]] * 2)) == fraction_kernel([[0, 0, 0]] * 2) == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 

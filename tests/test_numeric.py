@@ -85,6 +85,11 @@ def test_holder_zetas_mix_depths_and_lengths():
     assert all(zetas[w] == holder_zeta_oracle(w, 30) for w in words)
 
 
+def test_holder_zetas_reads_an_iterator_once():
+    words = ["xxyy", "xyxy", "xxxy"]
+    assert _holder_zetas((w for w in words), 20) == _holder_zetas(words, 20)
+
+
 # The terms of the weight-12 and weight-16 double zeta relations, and the
 # s = 1 column, which the oracle sums through zeta'(r).
 ORACLE_PAIRS = [(9, 3), (7, 5), (5, 7), (13, 3), (11, 5), (9, 7), (7, 9), (5, 11),

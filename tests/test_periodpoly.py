@@ -21,6 +21,12 @@ def test_dim_formula_table():
         ek_dim_formula(13)
 
 
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_ek_basis_is_empty_below_12(k):
+    # at k = 4 the matrix has no rows and no columns, and kernel gives []
+    assert ek_basis(k) == []
+
+
 def test_weight12_basis_golden():
     basis = ek_basis(12)
     assert len(basis) == 1
