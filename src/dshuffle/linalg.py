@@ -9,10 +9,11 @@ used by the period-polynomial / double-zeta correspondence:
     tADB    the symmetric product
 
 Entries stay ints unless a division (D, M, the pivot rows of an rref, and so
-inverses) makes a Fraction.  Products are fraction-free: each row of the
-left factor and each column of the right one is cleared of denominators
-once, dot products are taken in ints, and each entry is divided once, by
-row scale x column scale.
+inverses) makes a Fraction.  `report` reads DB only up to scale, so it
+builds the int matrix L D B, L the lcm of the denominators of D.  Products
+are fraction-free: each row of the left factor and each column of the right
+one is cleared of denominators once, dot products are taken in ints, and
+each entry is divided once, by row scale x column scale.
 
 There is one elimination, kernel, and it works by cutting the identity: an
 int basis K of Q^ncols loses one vector per independent row of the matrix,
@@ -38,7 +39,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .words import format_rational, scaled, unscaled
+from .words import NcPoly, format_rational, scaled, unscaled
 
 
 class Mat:
@@ -249,7 +250,15 @@ def build_A(k: int) -> Mat:
 
 def build_A_symbolic(k: int) -> Mat:
     """A_ij as the coefficient of x^2i y x^(k-2i-2) y in
-    ad_x^2j(y) (.) ad_x^(k-2-2j)(y), the depth-1 truncation pairing."""
+    ad_x^2j(y) (.) ad_x^(k-2-2j)(y), the depth-1 truncation pairing.
+
+    Only the term x^(k-2-2j) y of the right factor, with coefficient 1, can
+    reach these words.  Every word read ends in y.  f (.) g = fg + D_f(g)
+    is linear in g, and for a word w of g that ends in x, fw ends in x, and
+    so does each word of D_f(w): D_f replaces a y of w by the words of
+    [y, f] and, as D_f(x) = 0, leaves the last letter x alone.  Every other
+    term of ad_x^(k-2-2j)(y) ends in x, so the right factor is that one
+    word, and the product is still f (.) g, not its closed form."""
     n = _check_weight(k)
     # at call time: lie.ds_solve imports linalg, and one module-level import
     # each way would be a cycle
@@ -257,7 +266,7 @@ def build_A_symbolic(k: int) -> Mat:
 
     cols = []
     for j in range(1, n + 1):
-        g = odot(ad_x_pow(2 * j), ad_x_pow(k - 2 - 2 * j))
+        g = odot(ad_x_pow(2 * j), NcPoly.word("x" * (k - 2 - 2 * j) + "y"))
         cols.append([g.coeff("x" * (2 * i) + "y" + "x" * (k - 2 * i - 2) + "y")
                      for i in range(1, n + 1)])
     return Mat(cols).transpose()

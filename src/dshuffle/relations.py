@@ -141,7 +141,14 @@ def correspondence_report(k: int) -> dict:
     failures = []
     A = build_A(k)
     tA = A.transpose()
-    DB = build_D(k) @ build_B(k)
+    # DB up to the scale L, the lcm of the denominators of the diagonal D:
+    # the int matrix L D B, whose row i is L d_i times row i of B.  Neither
+    # the symmetry of tA DB nor the span of DB Ker A sees L, and q = DB a is
+    # checked as L q = (L D B) a.
+    diag = [row[i] for i, row in enumerate(build_D(k).rows)]
+    L = math.lcm(*(d.denominator for d in diag))
+    DB = Mat([[L // d.denominator * d.numerator * b for b in row]
+              for d, row in zip(diag, build_B(k).rows)])
     basis = ek_basis(k)
     ker_A = kernel(A)
     ker_tA = kernel(tA)
@@ -171,7 +178,7 @@ def correspondence_report(k: int) -> dict:
     if not duality_span_ok:
         failures.append("Ker tA != DB Ker A")
 
-    q_equals_DBa = all(list(q_vector(p)) == DB.mul_vec(p) for p in basis)
+    q_equals_DBa = all([L * c for c in q_vector(p)] == DB.mul_vec(p) for p in basis)
     if not q_equals_DBa:
         failures.append("q_vector != DB a")
 

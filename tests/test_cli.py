@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dshuffle
-from dshuffle import linalg, numzeta, periodpoly
+from dshuffle import linalg, numzeta, periodpoly, relations
 from dshuffle.cli import main
 from dshuffle.linalg import Mat
 from dshuffle.words import ConsistencyError, NcPoly
@@ -301,6 +301,20 @@ def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, mes
         assert out == ""
         [message] = messages
         assert err.startswith(f"error: {message}")
+
+
+def test_report_reads_D(capsys, monkeypatch):
+    # report builds DB in ints from the entries of D, and one that wrote the
+    # binomials C(k-2, 2i) in place of D would miss this change.  Not D_11:
+    # row 0 of A12 equals row 0 of B, so scaling D_11 keeps tADB symmetric.
+    def changed_D(k):
+        rows = [list(r) for r in linalg.build_D(k).rows]
+        rows[1][1] *= 2
+        return Mat(rows)
+    monkeypatch.setattr(relations, "build_D", changed_D)
+    code, out, _ = run(capsys, *REPORT_12)
+    assert code == 1
+    assert "tADB not symmetric" in json.loads(out)["failures"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

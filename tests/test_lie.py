@@ -114,7 +114,6 @@ def test_lyndon_counts_match_necklace_formula():
         assert ws == sorted(ws)
         assert len(set(ws)) == len(ws)
         for w in ws:
-            assert all(w < w[i:] + w[:i] for i in range(1, len(w))) or len(w) == 1
             # Lyndon: strictly smaller than all proper rotations
             assert all(w < w[i:] + w[:i] for i in range(1, len(w)))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (fraction_inverse, fraction_kernel, fraction_matmul,
                       fraction_rref, rationals, rref_rank)
 from dshuffle import linalg, periodpoly, relations
-from dshuffle.lie import ds_solve
+from dshuffle.lie import ad_x_pow, ds_solve, odot
 from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
                              build_B, build_D, build_S, build_T, conjugate_M,
                              kernel, normalize_vector, same_span,
@@ -16,6 +16,7 @@ from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
 from dshuffle.periodpoly import ek_basis
 from dshuffle.regularization import fz_quotient_dim, sh_basis_dim
 from dshuffle.relations import correspondence_report, gkz_relations, gkz_scalar
+from dshuffle.words import NcPoly
 
 A12 = Mat([
     [1, 6, 15, 28],
@@ -358,6 +359,21 @@ def test_A_weight12_golden():
 def test_A_symbolic_matches_closed_form():
     for k in range(12, 41, 2):
         assert build_A_symbolic(k) == build_A(k)
+
+
+def test_A_symbolic_matches_the_full_product():
+    # build_A_symbolic keeps only the term x^(k-2-2j) y of ad_x^(k-2-2j)(y);
+    # the product with the whole right factor is the oracle
+    for k in range(12, 31, 2):
+        n = (k - 4) // 2
+        read = ["x" * (2 * i) + "y" + "x" * (k - 2 * i - 2) + "y" for i in range(1, n + 1)]
+        cols = []
+        for j in range(1, n + 1):
+            f, g = ad_x_pow(2 * j), ad_x_pow(k - 2 - 2 * j)
+            cols.append([odot(f, g).coeff(w) for w in read])
+            rest = g - NcPoly.word("x" * (k - 2 - 2 * j) + "y")
+            assert all(w.endswith("x") for w in odot(f, rest).terms)
+        assert build_A_symbolic(k) == Mat(cols).transpose()
 
 
 def test_ker_A12_golden():
