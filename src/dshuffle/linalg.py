@@ -8,12 +8,11 @@ used by the period-polynomial / double-zeta correspondence:
     M       T^-1 A T, with its identity/zero block structure
     tADB    the symmetric product
 
-Entries stay ints unless a division (D, M, the pivot rows of an rref, and so
-inverses) makes a Fraction.  `report` reads DB only up to scale, so it
-builds the int matrix L D B, L the lcm of the denominators of D.  Products
-are fraction-free: each row of the left factor and each column of the right
-one is cleared of denominators once, dot products are taken in ints, and
-each entry is divided once, by row scale x column scale.
+Entries stay ints unless a division (D, M, tADB, the pivot rows of an rref,
+and so inverses) makes a Fraction.  Products are plain dot products, and
+the package takes them in ints only: DB is built once, by scaled_DB, as the
+int matrix L D B, L the lcm of the denominators of D.  `report` reads DB
+only up to scale, and tADB is tA (L D B) divided by L.
 
 There is one elimination, kernel, and it works by cutting the identity: an
 int basis K of Q^ncols loses one vector per independent row of the matrix,
@@ -72,13 +71,14 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        return Mat(_products(self.rows, [scaled(col) for col in zip(*other.rows)]))
+        cols = list(zip(*other.rows))
+        return Mat([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
 
     def transpose(self) -> "Mat":
         return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
 
     def mul_vec(self, v: Sequence) -> list:
-        return [c for (c,) in _products(self.rows, [scaled(v)])]
+        return [sum(map(mul, r, v)) for r in self.rows]
 
     def rref(self) -> tuple:
         """The unique reduced row echelon form; returns (Mat, pivot column
@@ -156,13 +156,6 @@ def _cut(row: list, f: int, v: list, e: int) -> list:
     a, b = e // g, f // g
     tail = [a * x for x in row[len(v):]]
     return _content_free([a * x - b * y for x, y in zip(row, v)] + tail)
-
-
-def _products(rows: Sequence, cols: list) -> list:
-    """The dot products of each row with each scaled column (ints, scale),
-    taken in ints on the cleared row and divided once; ints stay ints."""
-    return [[unscaled(sum(map(mul, r, c)), rs * cs) for c, cs in cols]
-            for r, rs in map(scaled, rows)]
 
 
 def normalize_vector(v: Sequence) -> list:
@@ -335,6 +328,16 @@ def block_check(M: Mat, k: int) -> bool:
     return M.rows[:top] == Mat.identity(_check_weight(k)).rows[:top]
 
 
+def scaled_DB(D: Mat, B: Mat) -> tuple:
+    """(L, L D B) for a diagonal D, L the lcm of its denominators: row i is
+    L d_i times row i of B, in ints.  Neither the symmetry of tA DB nor the
+    span of DB Ker A sees L, and q = DB a is checked as L q = (L D B) a."""
+    diag, L = scaled([row[i] for i, row in enumerate(D.rows)])
+    return L, Mat([[d * b for b in row] for d, row in zip(diag, B.rows)])
+
+
 def symmetry_product(k: int) -> Mat:
-    """tA D B."""
-    return build_A(k).transpose() @ build_D(k) @ build_B(k)
+    """tA D B, as the int product tA (L D B) with each entry divided by L."""
+    L, DB = scaled_DB(build_D(k), build_B(k))
+    tADB = build_A(k).transpose() @ DB
+    return Mat([[unscaled(x, L) for x in row] for row in tADB.rows])

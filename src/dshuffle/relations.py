@@ -14,7 +14,7 @@ import mpmath as mp
 
 from .linalg import (Mat, _check_weight, build_A, build_A_symbolic, build_B,
                      build_D, conjugate_M, block_check, kernel, normalize_vector,
-                     same_span)
+                     same_span, scaled_DB)
 from .periodpoly import ek_basis, ek_dim_formula, q_vector
 from .regularization import stuffle_relation
 from .words import (ConsistencyError, accumulate, format_rational, format_terms,
@@ -75,12 +75,15 @@ def gkz_relations(k: int) -> List[Relation]:
     weight-12 relation: twice the primitive integer vector, with the
     coefficient of Z(k-3, 3) (the last q entry) positive.  Terms are listed
     with r descending, Z(k-3, 3) first.  The emitted vectors are checked
-    to span Ker tA, which also puts each of them in it.
+    to span Ker tA, which also puts each of them in it.  A weight that
+    build_A or ek_basis rejects is rejected before A^t is eliminated.
     """
+    _check_weight(k)
+    basis = ek_basis(k)
     ker_t = kernel(build_A(k).transpose())
     out = []
     vecs = []
-    for p in ek_basis(k):
+    for p in basis:
         q = normalize_vector(q_vector(p))
         if q and q[-1] < 0:
             q = [-c for c in q]
@@ -141,14 +144,7 @@ def correspondence_report(k: int) -> dict:
     failures = []
     A = build_A(k)
     tA = A.transpose()
-    # DB up to the scale L, the lcm of the denominators of the diagonal D:
-    # the int matrix L D B, whose row i is L d_i times row i of B.  Neither
-    # the symmetry of tA DB nor the span of DB Ker A sees L, and q = DB a is
-    # checked as L q = (L D B) a.
-    diag = [row[i] for i, row in enumerate(build_D(k).rows)]
-    L = math.lcm(*(d.denominator for d in diag))
-    DB = Mat([[L // d.denominator * d.numerator * b for b in row]
-              for d, row in zip(diag, build_B(k).rows)])
+    L, DB = scaled_DB(build_D(k), build_B(k))
     basis = ek_basis(k)
     ker_A = kernel(A)
     ker_tA = kernel(tA)

@@ -103,8 +103,8 @@ def fraction_inverse(rows):
 
 
 def fraction_matmul(a_rows, b_rows):
-    """The product Mat.__matmul__ replaced: each entry summed term by term
-    over the entries as given, so in Fractions once a factor holds one."""
+    """The independent product oracle the tests keep: each entry summed term
+    by term over the entries as given, so in Fractions once a factor holds one."""
     ot = list(map(list, zip(*b_rows)))
     return [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in a_rows]
 

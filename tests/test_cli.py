@@ -317,6 +317,45 @@ def test_report_reads_D(capsys, monkeypatch):
     assert "tADB not symmetric" in json.loads(out)["failures"]
 
 
+def test_too_large_weight_is_rejected_before_eliminating_tA(capsys, monkeypatch):
+    # a weight ek_basis rejects (k > 60) must be rejected before Ker tA is
+    # taken, which runs for minutes at k = 500
+    def no_kernel(M):
+        raise AssertionError(f"kernel of a {M.nrows} x {M.ncols} matrix")
+    monkeypatch.setattr(relations, "kernel", no_kernel)
+    for argv in (["relations", "--weight", "62", "--kind", "zeta"],
+                 ["check", "--weight", "62", "--digits", "30"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "4 <= k <= 60" in err
+
+
+def test_report_and_matrix_products_take_int_operands(capsys, monkeypatch):
+    # Mat products are plain dot products, so a Fraction factor would make
+    # Fraction sums; D enters report and tADB only as the int matrix L D B
+    operands = []
+    matmul, mul_vec = Mat.__matmul__, Mat.mul_vec
+
+    def spy_matmul(self, other):
+        operands.extend((self.rows, other.rows))
+        return matmul(self, other)
+
+    def spy_mul_vec(self, v):
+        operands.extend((self.rows, [v]))
+        return mul_vec(self, v)
+
+    monkeypatch.setattr(Mat, "__matmul__", spy_matmul)
+    monkeypatch.setattr(Mat, "mul_vec", spy_mul_vec)
+    argvs = [["report", "--from", "12", "--to", "40"]]
+    argvs += [["matrix", "--which", m, "--weight", str(k)]
+              for k in range(12, 41, 2) for m in ("tADB", "M")]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+    assert operands
+    assert all(type(c) is int for rows in operands for row in rows for c in row)
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 15 ms of
     # start-up for every command
