@@ -101,7 +101,7 @@ def ds_solve(n: int) -> list:
     """
     if not 3 <= n <= 10:
         raise ValueError("ds_solve supports 3 <= n <= 10")
-    # at call time: linalg.build_A_symbolic imports lie, and one module-level
+    # at call time: linalg imports lie at module top, and one module-level
     # import each way would be a cycle
     from .linalg import Mat, kernel
 

@@ -38,6 +38,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Sequence
 
+from .lie import ad_x_pow, odot
 from .words import NcPoly, format_rational, scaled, unscaled
 
 
@@ -75,7 +76,7 @@ class Mat:
         return Mat([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
 
     def transpose(self) -> "Mat":
-        return Mat(list(map(list, zip(*self.rows)))) if self.rows else Mat([])
+        return Mat(list(map(list, zip(*self.rows))))
 
     def mul_vec(self, v: Sequence) -> list:
         return [sum(map(mul, r, v)) for r in self.rows]
@@ -216,8 +217,6 @@ def kernel(M: Mat) -> list:
 
 def same_span(vs: list, ws: list) -> bool:
     """Subspace equality via ranks of stacked bases (double inclusion)."""
-    if len(vs) != len(ws):
-        return False
     rv = Mat(vs).rank()
     rw = Mat(ws).rank()
     return rv == rw == Mat(vs + ws).rank()
@@ -253,10 +252,6 @@ def build_A_symbolic(k: int) -> Mat:
     term of ad_x^(k-2-2j)(y) ends in x, so the right factor is that one
     word, and the product is still f (.) g, not its closed form."""
     n = _check_weight(k)
-    # at call time: lie.ds_solve imports linalg, and one module-level import
-    # each way would be a cycle
-    from .lie import ad_x_pow, odot
-
     cols = []
     for j in range(1, n + 1):
         g = odot(ad_x_pow(2 * j), NcPoly.word("x" * (k - 2 - 2 * j) + "y"))

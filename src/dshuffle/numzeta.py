@@ -39,10 +39,6 @@ def zeta_single(k: int, digits: int) -> mp.mpf:
 
 def zeta_double(r: int, s: int, digits: int) -> mp.mpf:
     """zeta(r, s) = sum_{m > n > 0} 1 / (m^r n^s), the word x^(r-1) y x^(s-1) y."""
-    if r < 2:
-        raise ValueError("zeta(r, s) requires r >= 2")
-    if s < 1:
-        raise ValueError("zeta(r, s) requires s >= 1")
     w = word_of_composition((r, s))
     return _holder_zetas([w], digits)[w]
 

@@ -39,7 +39,7 @@ def decompose(w: Word) -> tuple:
     r = len(w) - len(w.lstrip("y"))
     core = w[r:]
     s = len(core) - len(core.rstrip("x"))
-    v = core[: len(core) - s] if s else core
+    v = core[: len(core) - s]
     return r, v, s
 
 

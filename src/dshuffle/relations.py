@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import mpmath as mp
 
@@ -72,8 +72,9 @@ def gkz_relations(k: int) -> List[Relation]:
     """One double zeta relation per period polynomial basis element.
 
     Coefficients are the q-vector scaled to the convention of the printed
-    weight-12 relation: twice the primitive integer vector, with the
-    coefficient of Z(k-3, 3) (the last q entry) positive.  Terms are listed
+    weight-12 relation: twice the primitive integer vector with first
+    nonzero entry positive, whose last entry, the coefficient of Z(k-3, 3),
+    is then never negative at the weights ek_basis takes.  Terms are listed
     with r descending, Z(k-3, 3) first.  The emitted vectors are checked
     to span Ker tA, which also puts each of them in it.  A weight that
     build_A or ek_basis rejects is rejected before A^t is eliminated.
@@ -84,10 +85,7 @@ def gkz_relations(k: int) -> List[Relation]:
     out = []
     vecs = []
     for p in basis:
-        q = normalize_vector(q_vector(p))
-        if q and q[-1] < 0:
-            q = [-c for c in q]
-        q = [2 * c for c in q]
+        q = [2 * c for c in normalize_vector(q_vector(p))]
         vecs.append(q)
         pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]
         terms = tuple(sorted(zip(pairs, q), key=lambda t: -t[0][0]))
@@ -141,7 +139,6 @@ def correspondence_report(k: int) -> dict:
     if k not in REPORT_WEIGHTS:
         raise ValueError(f"report covers even {REPORT_WEIGHTS[0]} <= k <= "
                          f"{REPORT_WEIGHTS[-1]}")
-    failures = []
     A = build_A(k)
     tA = A.transpose()
     L, DB = scaled_DB(build_D(k), build_B(k))
@@ -150,33 +147,21 @@ def correspondence_report(k: int) -> dict:
     ker_tA = kernel(tA)
     dim_formula = ek_dim_formula(k)
     dims_agree = len(basis) == len(ker_A) == len(ker_tA) == dim_formula
-    if not dims_agree:
-        failures.append("dimension mismatch")
-    if ker_A != basis:
-        failures.append("Ker A != a(E_k)")
-
     # null above 30, as the recorded report 12..40 digest prints it
-    symbolic_agrees: Optional[bool] = None
-    if k <= 30:
-        symbolic_agrees = build_A_symbolic(k) == A
-        if not symbolic_agrees:
-            failures.append("symbolic A differs from closed form")
-
+    symbolic_agrees = build_A_symbolic(k) == A if k <= 30 else None
     symmetry_ok = (tA @ DB).is_symmetric()
-    if not symmetry_ok:
-        failures.append("tADB not symmetric")
-
     block_ok = block_check(conjugate_M(k), k)
-    if not block_ok:
-        failures.append("block structure violated")
-
     duality_span_ok = same_span([DB.mul_vec(v) for v in ker_A], ker_tA)
-    if not duality_span_ok:
-        failures.append("Ker tA != DB Ker A")
-
     q_equals_DBa = all([L * c for c in q_vector(p)] == DB.mul_vec(p) for p in basis)
-    if not q_equals_DBa:
-        failures.append("q_vector != DB a")
+    failures = [message for message, ok in (
+        ("dimension mismatch", dims_agree),
+        ("Ker A != a(E_k)", ker_A == basis),
+        ("symbolic A differs from closed form", symbolic_agrees is not False),
+        ("tADB not symmetric", symmetry_ok),
+        ("block structure violated", block_ok),
+        ("Ker tA != DB Ker A", duality_span_ok),
+        ("q_vector != DB a", q_equals_DBa),
+    ) if not ok]
 
     return {
         "weight": k, "dim_formula": dim_formula, "dim_ek": len(basis),

@@ -68,8 +68,8 @@ class NcPoly:
         return cls({"": 1})
 
     @classmethod
-    def word(cls, w: Word, c=1) -> "NcPoly":
-        return cls({w: c})
+    def word(cls, w: Word) -> "NcPoly":
+        return cls({w: 1})
 
     # -- queries ------------------------------------------------------
 

@@ -5,7 +5,8 @@ import jsonschema
 import pytest
 
 from dshuffle import linalg, relations
-from dshuffle.linalg import Mat, build_A, kernel, same_span
+from dshuffle.linalg import Mat, build_A, kernel, normalize_vector, same_span
+from dshuffle.periodpoly import ek_basis, q_vector
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, gkz_scalar, ihara_relations)
 from dshuffle.words import ConsistencyError
@@ -75,6 +76,15 @@ def test_gkz_vectors_lie_in_ker_tA_and_span_it():
             vecs.append(v)
         if vecs:
             assert same_span(vecs, ker)
+
+
+def test_normalized_q_vectors_never_end_negative():
+    # gkz_relations flips no sign to keep the Z(k-3, 3) coefficient from
+    # being negative: normalize_vector already does.  It is 0 for 37 of the
+    # 61 vectors, the first at k = 24, and positive for the rest.
+    ends = [normalize_vector(q_vector(p))[-1] for k in range(12, 61, 2) for p in ek_basis(k)]
+    assert min(ends) == 0
+    assert sum(c > 0 for c in ends) == 24
 
 
 @pytest.mark.parametrize("k", range(12, 42, 2))

@@ -242,7 +242,7 @@ def test_printing():
 
 
 def test_printing_unit_term():
-    assert str(NcPoly.one() - NcPoly.word("xy", 3)) == "1 - 3xy"
+    assert str(NcPoly.one() - NcPoly({"xy": 3})) == "1 - 3xy"
 
 
 def test_shuffle_and_stuffle_have_int_coefficients():
