@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -133,7 +134,11 @@ def _cmd_fz_dim(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later main
+    call: it holds no state of a job, as parse_args returns a fresh
+    namespace each time."""
     p = argparse.ArgumentParser(
         prog="dshuffle",
         description="Exact period polynomial / double zeta relation engine",

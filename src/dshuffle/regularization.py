@@ -104,28 +104,37 @@ def _scaled_star(w: Word) -> tuple:
     return NcPoly._wrap(dict(zip(terms, ints))), den
 
 
-def stuffle_relation(u: Word, v: Word) -> NcPoly:
-    """The relation Z*(u) Z*(v) - Z*(u * v), resolved onto convergent
-    symbols; set to zero in the formal zeta quotient.  It is summed in ints
-    over the common denominator D of its star terms: the shuffle of the two
-    scaled factors times D / (d_u d_v), less c D / d_w times each scaled
-    Z*(w) of u * v (coefficient c), each sum divided by D once at the end."""
+def _relation_sums(u: Word, v: Word) -> tuple:
+    """(S, D) with S / D the relation Z*(u) Z*(v) - Z*(u * v): summed in
+    ints over the common denominator D of its star terms, the shuffle of the
+    two scaled factors times D / (d_u d_v), less c D / d_w times each scaled
+    Z*(w) of u * v (coefficient c).  S is a dict of nonzero ints."""
     (zu, du), (zv, dv) = _scaled_star(u), _scaled_star(v)
     stars = [(_scaled_star(w), c) for w, c in stuffle(u, v).terms.items()]
     den = math.lcm(du * dv, *(d for (_, d), _ in stars))
     out = accumulate({}, shuffle_poly(zu, zv).terms, den // (du * dv))
     for (z, d), c in stars:
         accumulate(out, z.terms, -c * (den // d))
+    return out, den
+
+
+def stuffle_relation(u: Word, v: Word) -> NcPoly:
+    """The relation Z*(u) Z*(v) - Z*(u * v), resolved onto convergent
+    symbols; set to zero in the formal zeta quotient.  Its int sums are
+    divided by their common denominator once, at the end."""
+    out, den = _relation_sums(u, v)
     return NcPoly._wrap({w: unscaled(c, den) for w, c in out.items()})
 
 
 def weight_relations(n: int) -> list:
-    """All nonzero stuffle relations of weight n."""
+    """All nonzero stuffle relations of weight n, each as its int sums: a
+    nonzero multiple of stuffle_relation(u, v), which spans the same row and
+    leaves kernel no denominator to clear."""
     out = []
     for u, v in stuffle_pairs(n):
-        rel = stuffle_relation(u, v)
-        if rel:
-            out.append(rel)
+        sums, _ = _relation_sums(u, v)
+        if sums:
+            out.append(NcPoly._wrap(sums))
     return out
 
 

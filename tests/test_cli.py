@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath as mp
@@ -380,6 +382,55 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = set(proc.stdout.split())
     assert "dshuffle.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_parser_is_built_on_the_first_main_call_and_only_once():
+    # one parser and its 8 subparsers per process, none at import, so an
+    # in-process job pays only for its own work
+    src = str(Path(dshuffle.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import argparse, contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import dshuffle.cli
+        print(len(built))
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [dshuffle.cli.main(["regularize", "--word", "yxy"]) for _ in range(2)]
+        print(len(built), *codes)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == ["0", "9 0 0"]
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # rejected argv first, then a command with non-default options, then the
+    # defaults: each must print what a fresh parser prints
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+    def matches(key, code, out):
+        return [hashlib.sha256(out.encode()).hexdigest(), code] == golden[key]
+
+    for argv in ([], ["relations", "--weight", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "regularize", "--word", "z")[:2] == (2, "")
+    code, zeta_csv, _ = run(capsys, "relations", "--weight", "16", "--kind", "zeta",
+                            "--format", "csv")
+    assert code == 0
+    assert matches("relations --weight 16 --format text",
+                   *run(capsys, "relations", "--weight", "16")[:2])
+    code, all_csv, _ = run(capsys, "relations", "--weight", "16", "--format", "csv")
+    assert matches("relations --weight 16 --format csv", code, all_csv)
+    lines = all_csv.splitlines()
+    assert zeta_csv.splitlines() == lines[:1] + [x for x in lines if ",double_zeta," in x]
 
 
 def test_imports_sit_at_module_top_but_for_the_lie_linalg_cycle():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (fraction_rref, fraction_stuffle_relation, poly_weight,
                       star_unit_oracle, words, y_words)
+from dshuffle import regularization
 from dshuffle.linalg import Mat
 from dshuffle.regularization import (_scaled_star, decompose, fz_quotient_dim,
                                      sh_basis_dim, shuffle_regularize,
@@ -169,6 +170,33 @@ def test_sh_basis_dim_rank_matches_natural_column_order(n):
     assert (red.rows, pivots) == fraction_rref(rows)
     assert Mat(rows).rank() == len(pivots)
     assert sh_basis_dim(n) == len(ws) - len(pivots)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_weight_relations_are_multiples_of_stuffle_relations(n):
+    # the int sums before stuffle_relation's one division: the same rows
+    # up to a nonzero scale, in the same order
+    rels = [rel for rel in (stuffle_relation(u, v) for u, v in stuffle_pairs(n)) if rel]
+    sums = weight_relations(n)
+    assert len(sums) == len(rels)
+    for s, rel in zip(sums, rels):
+        w = next(iter(rel.terms))
+        assert s == rel.scale(Fraction(s.coeff(w)) / rel.coeff(w))
+
+
+def test_fz_quotient_dim_hands_mat_only_ints(monkeypatch):
+    # kernel then has no denominator to clear from the relation rows
+    seen = []
+
+    def spy(rows):
+        seen.extend(rows)
+        return Mat(rows)
+
+    monkeypatch.setattr(regularization, "Mat", spy)
+    for n in range(2, 10):
+        fz_quotient_dim(n)
+    assert seen
+    assert all(type(c) is int for row in seen for c in row)
 
 
 def test_weight_relations_homogeneous():
