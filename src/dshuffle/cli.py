@@ -74,8 +74,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # Weight 40 at 40 digits evaluates its zetas at 59 (see verify_relation),
-    # well within numzeta's 100.
+    # The largest working precision an accepted input reaches is 76 digits,
+    # at weight 58 and 40 digits (see verify_relation), under numzeta's 100.
     if not 15 <= args.digits <= 40:
         raise ValueError(f"--digits must be in 15..40, got {args.digits}")
     ok = True

@@ -16,9 +16,8 @@ from .linalg import (Mat, _check_weight, build_A, build_A_symbolic, build_B,
                      build_D, conjugate_M, block_check, kernel, normalize_vector,
                      same_span, scaled_DB)
 from .periodpoly import ek_basis, ek_dim_formula, q_vector
-from .regularization import stuffle_relation
 from .words import (ConsistencyError, accumulate, format_rational, format_terms,
-                    stuffle, word_of_composition)
+                    shuffle, stuffle, word_of_composition)
 
 
 class Relation:
@@ -79,26 +78,19 @@ def gkz_relations(k: int) -> List[Relation]:
     to span Ker tA, which also puts each of them in it.  A weight that
     build_A or ek_basis rejects is rejected before A^t is eliminated.
     """
-    _check_weight(k)
-    basis = ek_basis(k)
-    ker_t = kernel(build_A(k).transpose())
-    out = []
-    vecs = []
-    for p in basis:
-        q = [2 * c for c in normalize_vector(q_vector(p))]
-        vecs.append(q)
-        pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, len(q) + 1)]
-        terms = tuple(sorted(zip(pairs, q), key=lambda t: -t[0][0]))
-        out.append(Relation(weight=k, kind="double_zeta", terms=terms))
-    if not same_span(vecs, ker_t):
+    pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, _check_weight(k) + 1)]
+    vecs = [[2 * c for c in normalize_vector(q_vector(p))] for p in ek_basis(k)]
+    if not same_span(vecs, kernel(build_A(k).transpose())):
         raise ConsistencyError("emitted relations do not span Ker tA")
-    return out
+    return [Relation(weight=k, kind="double_zeta", terms=tuple(zip(pairs, q))[::-1])
+            for q in vecs]
 
 
 def gkz_scalar(rel: Relation) -> Fraction:
     """The exact c with sum q_(r,s) Z(r, s) = c Z(k) in the formal depth-2
     double zeta space of Gangl-Kaneko-Zagier: the unknowns Z(j, k-j),
-    2 <= j < k, and Z(k), cut by stuffle = shuffle for 2 <= r <= s and by
+    2 <= j < k, and Z(k), cut by stuffle = shuffle for 2 <= r <= s (every
+    word of both products is convergent, so neither is regularized) and by
     Euler's Z(r) Z(s) = beta Z(k), beta = -B_r B_s C(k, r) / (2 B_k), for
     even r, s.  A kernel vector of the matrix whose columns are these rows,
     the relation and Z(k), with mu on the relation and nu on Z(k), gives
@@ -108,20 +100,18 @@ def gkz_scalar(rel: Relation) -> Fraction:
     if any(r < 2 or s < 1 or r + s != k for (r, s), _ in rel.terms):
         raise ValueError(f"not a relation among Z(r, s) of weight {k}: {rel}")
     zk = word_of_composition((k,))
-    index = {word_of_composition((j, k - j)): j - 2 for j in range(2, k)} | {zk: k - 2}
     bern = [Fraction(*mp.bernfrac(n)) for n in range(k + 1)]
     cols = []
     for r in range(2, k // 2 + 1):
         u, v = word_of_composition((r,)), word_of_composition((k - r,))
-        cols.append(stuffle_relation(u, v).terms)
+        st = stuffle(u, v).terms
+        cols.append(accumulate(dict(shuffle(u, v).terms), st, -1))
         if r % 2 == 0:
             beta = -bern[r] * bern[k - r] * math.comb(k, r) / (2 * bern[k])
-            cols.append(accumulate(dict(stuffle(u, v).terms), {zk: -beta}))
+            cols.append(accumulate(dict(st), {zk: -beta}))
     cols += [{word_of_composition(rs): c for rs, c in rel.terms}, {zk: 1}]
-    rows = [[0] * len(cols) for _ in index]
-    for j, col in enumerate(cols):
-        for w, c in col.items():
-            rows[index[w]][j] += c
+    words = [word_of_composition((j, k - j)) for j in range(2, k)] + [zk]
+    rows = [[col.get(w, 0) for col in cols] for w in words]
     scalars = {Fraction(-nu, mu) if mu else None
                for *_, mu, nu in kernel(Mat(rows)) if mu or nu}
     if len(scalars) != 1 or None in scalars:

@@ -436,14 +436,20 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
 def test_imports_sit_at_module_top_but_for_the_lie_linalg_cycle():
     # a module-level binding is the one that monkeypatching and the
     # benchmark's tracer replace; of the lie <-> linalg cycle, only
-    # lie.ds_solve imports at call time
-    inside = set()
+    # lie.ds_solve imports at call time.  And report, relations and check
+    # never call into the regularization toolkit: only cli and __init__
+    # import that module
+    inside, importers = set(), set()
     for path in Path(dshuffle.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn)):
                     inside.add(f"{path.stem}.{fn.name}")
+            if isinstance(fn, ast.ImportFrom) and "regularization" in (
+                    fn.module, *(a.name for a in fn.names)):
+                importers.add(path.stem)
     assert inside == {"lie.ds_solve"}
+    assert importers == {"cli", "__init__"}
 
 
 def cheap_argvs():

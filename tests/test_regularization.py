@@ -14,7 +14,8 @@ from dshuffle.regularization import (_scaled_star, decompose, fz_quotient_dim,
                                      stuffle_relation, weight_relations,
                                      zeta_str)
 from dshuffle.words import (NcPoly, _shuffle_words, _stuffle_words, is_convergent,
-                            shuffle_poly, stuffle_pairs, words_of_weight)
+                            shuffle, shuffle_poly, stuffle, stuffle_pairs,
+                            words_of_weight)
 
 
 def Z(*parts):
@@ -156,6 +157,16 @@ def test_stuffle_relation_matches_fraction_oracle(n):
         rel, oracle = stuffle_relation(u, v), fraction_stuffle_relation(u, v)
         assert rel == oracle
         assert zeta_str(rel) == zeta_str(oracle)
+
+
+@pytest.mark.parametrize("k", range(4, 61, 2))
+def test_stuffle_relation_of_depth_one_words_is_shuffle_less_stuffle(k):
+    # every word of the shuffle and the stuffle of x^(r-1)y and x^(k-r-1)y
+    # is convergent, so neither regularization moves it: relations.gkz_scalar
+    # builds its double shuffle columns on this, up to weight 60
+    for r in range(2, k // 2 + 1):
+        u, v = "x" * (r - 1) + "y", "x" * (k - r - 1) + "y"
+        assert stuffle_relation(u, v) == shuffle(u, v) - stuffle(u, v)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -110,8 +110,8 @@ def test_gkz_scalar_rejects_a_single_double_zeta(k):
 def test_gkz_scalar_rejects_terms_off_weight_before_building(monkeypatch, terms):
     def forbidden(*args):
         raise AssertionError("built the formal space for a malformed relation")
-    monkeypatch.setattr(relations, "stuffle_relation", forbidden)
-    monkeypatch.setattr(relations, "kernel", forbidden)
+    for name in ("shuffle", "stuffle", "kernel"):
+        monkeypatch.setattr(relations, name, forbidden)
     with pytest.raises(ValueError, match="weight 12"):
         gkz_scalar(Relation(12, "double_zeta", terms))
 
