@@ -2,8 +2,9 @@
 relations in the double shuffle Lie algebra and linear relations among
 odd-component double zeta values."""
 
-from .words import NcPoly, concat, pair, shuffle, stuffle
-from .lie import ad_x_pow, bracket, derivation_apply, ds_solve, odot, poisson
+from .words import (NcPoly, ad_x_pow, bracket, concat, derivation_apply, odot, pair,
+                    shuffle, stuffle)
+from .lie import ds_solve, poisson
 from .linalg import (Mat, build_A, build_A_symbolic, build_B, build_D, build_S,
                      build_T, block_check, conjugate_M, kernel, symmetry_product)
 from .periodpoly import ek_basis, ek_dim_formula, q_vector

@@ -1,61 +1,24 @@
-"""Free Lie algebra operations on Q<x, y>.
+"""The free Lie algebra Lie[x, y] inside Q<x, y>.
 
-Bracket, ad_x powers, the derivation D_f, the Poisson bracket, the
-enveloping-algebra product f (.) g = fg + D_f(g), and a small-weight
-solver for the double shuffle conditions over a Lyndon-word basis.
+The Poisson bracket, the Lyndon-word basis, and a small-weight solver for
+the double shuffle conditions over it.  The products it is built from
+(bracket, ad_x powers, D_f and f (.) g) are in words, beside concat.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import (NcPoly, Word, accumulate, concat, pair, stuffle, stuffle_pairs,
-                    words_of_weight)
-
-Y = NcPoly.word("y")
-
-
-def bracket(f: NcPoly, g: NcPoly) -> NcPoly:
-    """[f, g] = fg - gf."""
-    return concat(f, g) - concat(g, f)
-
-
-def ad_x_pow(n: int) -> NcPoly:
-    """ad_x^n(y) = sum_i (-1)^i C(n, i) x^(n-i) y x^i; weight n+1, depth 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return NcPoly({
-        "x" * (n - i) + "y" + "x" * i: (-1) ** i * math.comb(n, i)
-        for i in range(n + 1)
-    })
-
-
-def derivation_apply(f: NcPoly, g: NcPoly) -> NcPoly:
-    """D_f(g), where D_f(x) = 0 and D_f(y) = [y, f]."""
-    yf = bracket(Y, f).terms
-    out: dict = {}
-    for w, c in g.terms.items():
-        for p, letter in enumerate(w):
-            if letter == "y":
-                head, tail = w[:p], w[p + 1:]
-                accumulate(out, {head + u + tail: d for u, d in yf.items()}, c)
-    return NcPoly._wrap(out)
+from .linalg import Mat, kernel
+# odot too: the benchmark's tracer wraps it as lie.odot
+from .words import (NcPoly, Word, accumulate, bracket, derivation_apply, odot, pair,
+                    stuffle, stuffle_pairs, words_of_weight)
 
 
 def poisson(f: NcPoly, g: NcPoly) -> NcPoly:
     """{f, g} = [f, g] + D_f(g) - D_g(f)."""
     return bracket(f, g) + derivation_apply(f, g) - derivation_apply(g, f)
-
-
-def odot(f: NcPoly, g: NcPoly) -> NcPoly:
-    """f (.) g = fg + D_f(g).
-
-    Only valid as the enveloping-algebra product when f is (the depth-1
-    truncation of) a double shuffle element; the caller asserts that.
-    """
-    return concat(f, g) + derivation_apply(f, g)
 
 
 # -- double shuffle conditions -------------------------------------------
@@ -101,10 +64,6 @@ def ds_solve(n: int) -> list:
     """
     if not 3 <= n <= 10:
         raise ValueError("ds_solve supports 3 <= n <= 10")
-    # at call time: linalg imports lie at module top, and one module-level
-    # import each way would be a cycle
-    from .linalg import Mat, kernel
-
     basis = lie_basis(n)
     support: dict = {}  # word -> indices of the basis elements that hold it
     for j, b in enumerate(basis):

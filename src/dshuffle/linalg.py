@@ -38,8 +38,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .lie import ad_x_pow, odot
-from .words import NcPoly, format_rational, scaled, unscaled
+from .words import NcPoly, ad_x_pow, format_rational, odot, scaled, unscaled
 
 
 class Mat:

@@ -9,6 +9,8 @@ int stays an int, and a Fraction appears only where a division happened.
 Shuffle and stuffle are one recursion, joined by _join and differing only
 in their heads.  The memoized word products return cached dicts that
 shuffle and stuffle wrap as is, so callers only read them (see accumulate).
+On concat rest the bracket, ad_x powers, the derivation D_f and the
+enveloping-algebra product f (.) g = fg + D_f(g).
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class NcPoly:
         clean = {}
         if terms:
             for w, c in terms.items():
+                if not isinstance(c, Rational):
+                    raise TypeError(f"not a rational scalar: {c!r}")
                 if c:
                     clean[check_word(w)] = c
         self.terms: dict = clean
@@ -254,13 +258,52 @@ def concat(f: NcPoly, g: NcPoly) -> NcPoly:
     return NcPoly._wrap(out)
 
 
+Y = NcPoly.word("y")
+
+
+def bracket(f: NcPoly, g: NcPoly) -> NcPoly:
+    """[f, g] = fg - gf."""
+    return concat(f, g) - concat(g, f)
+
+
+def ad_x_pow(n: int) -> NcPoly:
+    """ad_x^n(y) = sum_i (-1)^i C(n, i) x^(n-i) y x^i; weight n+1, depth 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return NcPoly({
+        "x" * (n - i) + "y" + "x" * i: (-1) ** i * math.comb(n, i)
+        for i in range(n + 1)
+    })
+
+
+def derivation_apply(f: NcPoly, g: NcPoly) -> NcPoly:
+    """D_f(g), where D_f(x) = 0 and D_f(y) = [y, f]."""
+    yf = bracket(Y, f).terms
+    out: dict = {}
+    for w, c in g.terms.items():
+        for p, letter in enumerate(w):
+            if letter == "y":
+                head, tail = w[:p], w[p + 1:]
+                accumulate(out, {head + u + tail: d for u, d in yf.items()}, c)
+    return NcPoly._wrap(out)
+
+
+def odot(f: NcPoly, g: NcPoly) -> NcPoly:
+    """f (.) g = fg + D_f(g).
+
+    Only valid as the enveloping-algebra product when f is (the depth-1
+    truncation of) a double shuffle element; the caller asserts that.
+    """
+    return concat(f, g) + derivation_apply(f, g)
+
+
 # -- word <-> composition dictionary -------------------------------------
 
 
 def word_of_composition(parts) -> Word:
     """(r_1, ..., r_k) -> x^(r_1 - 1) y ... x^(r_k - 1) y."""
-    parts = tuple(int(p) for p in parts)
-    if not parts or any(p < 1 for p in parts) or parts[0] < 2:
+    parts = tuple(parts)
+    if not parts or any(not isinstance(p, int) or p < 1 for p in parts) or parts[0] < 2:
         raise ValueError(f"not an admissible composition: {parts}")
     return "".join("x" * (i - 1) + "y" for i in parts)
 

@@ -7,10 +7,10 @@ from functools import lru_cache
 import mpmath as mp
 from hypothesis import strategies as st
 
-from dshuffle.lie import admissible_stuffle_pairs, bracket
+from dshuffle.lie import admissible_stuffle_pairs
 from dshuffle.numzeta import GUARD_DIGITS
 from dshuffle.regularization import star_regularize
-from dshuffle.words import NcPoly, accumulate, pair, shuffle_poly, stuffle
+from dshuffle.words import NcPoly, accumulate, bracket, pair, shuffle_poly, stuffle
 
 
 def words(min_size=0, max_size=6):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import graphlib
 import hashlib
 import importlib
 import io
@@ -433,22 +434,29 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
     assert zeta_csv.splitlines() == lines[:1] + [x for x in lines if ",double_zeta," in x]
 
 
-def test_imports_sit_at_module_top_but_for_the_lie_linalg_cycle():
+def test_imports_sit_at_module_top_and_form_no_cycle():
     # a module-level binding is the one that monkeypatching and the
-    # benchmark's tracer replace; of the lie <-> linalg cycle, only
-    # lie.ds_solve imports at call time.  And report, relations and check
-    # never call into the regularization toolkit: only cli and __init__
-    # import that module
-    inside, importers = set(), set()
+    # benchmark's tracer replace, so no function body imports.  The
+    # module-top imports among dshuffle modules form no cycle, and linalg
+    # builds on words alone.  And report, relations and check never call
+    # into the regularization toolkit: only cli and __init__ import it
+    inside, importers, graph = set(), set(), {}
     for path in Path(dshuffle.__file__).parent.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn)):
                     inside.add(f"{path.stem}.{fn.name}")
             if isinstance(fn, ast.ImportFrom) and "regularization" in (
                     fn.module, *(a.name for a in fn.names)):
                 importers.add(path.stem)
-    assert inside == {"lie.ds_solve"}
+        graph[path.stem] = {name for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            for name in ([node.module] if node.module
+                                         else [a.name for a in node.names])}
+    assert inside == set()
+    graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
+    assert graph["linalg"] == {"words"}
     assert importers == {"cli", "__init__"}
 
 

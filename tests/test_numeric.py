@@ -65,6 +65,15 @@ def test_zeta_double_guards():
         zeta_double(2, 1, 101)
 
 
+def test_non_integer_parts_are_rejected():
+    # int() used to truncate them: zeta_double(2.9, 1) read zeta(2, 1), and
+    # the scalar of Z(9.5, 2.5) read 0
+    with pytest.raises(ValueError, match="not an admissible composition"):
+        zeta_double(2.9, 1, 20)
+    with pytest.raises(ValueError, match="not an admissible composition"):
+        gkz_scalar(Relation(12, "double_zeta", (((9.5, 2.5), 1),)))
+
+
 @pytest.mark.parametrize("digits", [15, 30, 40, 59])
 def test_holder_zetas_match_the_one_word_oracle(digits):
     # the shared walk must make exactly the integers of two plain passes

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (nc_polys, rationals, shuffle_oracle, stuffle_oracle, words,
                       y_words)
-from dshuffle.words import (NcPoly, composition_of_word, concat,
+from dshuffle.words import (NcPoly, ad_x_pow, composition_of_word, concat,
                             format_rational, is_convergent, pair, scaled,
                             shuffle, shuffle_poly, stuffle, stuffle_pairs,
                             word_key, word_of_composition, words_of_weight)
@@ -22,7 +22,6 @@ def test_coeff_lookup():
 
 def test_coeff_ad_x_squared():
     # [x, [x, y]] = xxy - 2xyx + yxx, expanded by hand
-    from dshuffle.lie import ad_x_pow
     assert ad_x_pow(2).coeff("xyx") == -2
 
 
@@ -31,6 +30,12 @@ def test_ncpoly_rejects_non_words(w):
     # a tuple of letters used to pass the check and break str() later
     with pytest.raises(ValueError):
         NcPoly({w: 1})
+
+
+def test_ncpoly_rejects_non_rational_coefficients():
+    # a float used to build, multiply in floats in shuffle_poly and break str()
+    with pytest.raises(TypeError, match="not a rational scalar: 0.1"):
+        NcPoly({"xy": 0.1})
 
 
 def test_pair_right_linear():
