@@ -16,8 +16,8 @@ from .linalg import (Mat, _check_weight, build_A, build_A_symbolic, build_B,
                      build_D, conjugate_M, block_check, kernel, normalize_vector,
                      same_span, scaled_DB)
 from .periodpoly import ek_basis, ek_dim_formula, q_vector
-from .words import (ConsistencyError, accumulate, format_rational, format_terms,
-                    shuffle, stuffle, word_of_composition)
+from .words import (ConsistencyError, NcPoly, accumulate, format_rational,
+                    format_terms, shuffle, stuffle, word_of_composition)
 
 
 class Relation:
@@ -95,10 +95,14 @@ def gkz_scalar(rel: Relation) -> Fraction:
     even r, s.  A kernel vector of the matrix whose columns are these rows,
     the relation and Z(k), with mu on the relation and nu on Z(k), gives
     c = -nu/mu; there must be exactly one such c.  Every term must be a
-    Z(r, s) of weight k, r >= 2, s >= 1."""
+    Z(r, s) of weight k, r >= 2, s >= 1, with int parts and a rational
+    coefficient, all checked before the first row is built; a repeated
+    Z(r, s) counts with the sum of its coefficients."""
     k = rel.weight
     if any(r < 2 or s < 1 or r + s != k for (r, s), _ in rel.terms):
         raise ValueError(f"not a relation among Z(r, s) of weight {k}: {rel}")
+    relation = sum((NcPoly({word_of_composition(rs): c}) for rs, c in rel.terms),
+                   NcPoly())
     zk = word_of_composition((k,))
     bern = [Fraction(*mp.bernfrac(n)) for n in range(k + 1)]
     cols = []
@@ -109,7 +113,7 @@ def gkz_scalar(rel: Relation) -> Fraction:
         if r % 2 == 0:
             beta = -bern[r] * bern[k - r] * math.comb(k, r) / (2 * bern[k])
             cols.append(accumulate(dict(st), {zk: -beta}))
-    cols += [{word_of_composition(rs): c for rs, c in rel.terms}, {zk: 1}]
+    cols += [relation.terms, {zk: 1}]
     words = [word_of_composition((j, k - j)) for j in range(2, k)] + [zk]
     rows = [[col.get(w, 0) for col in cols] for w in words]
     scalars = {Fraction(-nu, mu) if mu else None
@@ -119,20 +123,16 @@ def gkz_scalar(rel: Relation) -> Fraction:
     return scalars.pop()
 
 
-REPORT_WEIGHTS = range(12, 41, 2)
-
-
 def correspondence_report(k: int) -> dict:
     """Run every exact cross-check at weight k.  The result is the JSON
     object `report` prints, keys in printed order and kernel entries as
-    rational strings; all_ok means no check failed."""
-    if k not in REPORT_WEIGHTS:
-        raise ValueError(f"report covers even {REPORT_WEIGHTS[0]} <= k <= "
-                         f"{REPORT_WEIGHTS[-1]}")
+    rational strings; all_ok means no check failed.  Takes the weights
+    build_A and ek_basis take, even 12..60: ek_basis runs first, as in
+    gkz_relations, so a larger weight is rejected before A is built."""
+    basis = ek_basis(k)
     A = build_A(k)
     tA = A.transpose()
     L, DB = scaled_DB(build_D(k), build_B(k))
-    basis = ek_basis(k)
     ker_A = kernel(A)
     ker_tA = kernel(tA)
     dim_formula = ek_dim_formula(k)

@@ -43,7 +43,7 @@ TADB12_PRINTED = Mat([[Fraction(c, 630) for c in row] for row in [
     [392, 2478, 7644, 15890],
 ]])
 
-EVEN_WEIGHTS = list(range(12, 42, 2))
+EVEN_WEIGHTS = list(range(12, 62, 2))
 
 
 def _announce(name):
@@ -74,7 +74,7 @@ def test_criterion_03_symmetry_product():
     for k in EVEN_WEIGHTS:
         assert symmetry_product(k).is_symmetric()
     assert time.monotonic() - start < 10.0
-    _announce("tADB golden at 12 and symmetric for 12..40")
+    _announce("tADB golden at 12 and symmetric for 12..60")
 
 
 def test_criterion_04_symbolic_equals_closed_form():
@@ -91,13 +91,13 @@ def test_criterion_05_dimension_sweep():
         assert ek_dim_formula(k) == expected
         assert len(kernel(build_A(k))) == expected
         assert len(ek_basis(k)) == expected
-    _announce("kernel/period-basis dimensions match formula for 12..40")
+    _announce("kernel/period-basis dimensions match formula for 12..60")
 
 
 def test_criterion_06_block_structure():
     for k in EVEN_WEIGHTS:
         assert block_check(conjugate_M(k), k)
-    _announce("block structure of T^-1 A T for 12..40")
+    _announce("block structure of T^-1 A T for 12..60")
 
 
 def test_criterion_07_duality():
@@ -107,7 +107,7 @@ def test_criterion_07_duality():
         assert same_span(image, kernel(build_A(k).transpose()))
         for p in ek_basis(k):
             assert list(q_vector(p)) == DB.mul_vec(p)
-    _announce("Ker tA = DB Ker A and q = DB a for 12..40")
+    _announce("Ker tA = DB Ker A and q = DB a for 12..60")
 
 
 def test_criterion_08_golden_relations():

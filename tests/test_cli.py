@@ -243,7 +243,7 @@ def test_matrix_weight_over_cap_exit_2(capsys, which):
     assert len(out.splitlines()) == 98
 
 
-@pytest.mark.parametrize("start, stop", [("38", "44"), ("20", "12")])
+@pytest.mark.parametrize("start, stop", [("58", "62"), ("10", "12"), ("20", "12")])
 def test_report_bad_range_exit_2(capsys, start, stop):
     code, out, err = run(capsys, "report", "--from", start, "--to", stop)
     assert code == 2
@@ -340,7 +340,8 @@ def test_too_large_weight_is_rejected_before_eliminating_tA(capsys, monkeypatch)
         raise AssertionError(f"kernel of a {M.nrows} x {M.ncols} matrix")
     monkeypatch.setattr(relations, "kernel", no_kernel)
     for argv in (["relations", "--weight", "62", "--kind", "zeta"],
-                 ["check", "--weight", "62", "--digits", "30"]):
+                 ["check", "--weight", "62", "--digits", "30"],
+                 ["report", "--from", "62", "--to", "62"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -36,7 +36,8 @@ def commands() -> dict:
                    for k in WEIGHTS for f in FORMATS]
                   + [["matrix", "--which", "Asym", "--weight", str(k), "--format", f]
                      for k in range(12, 21, 2) for f in FORMATS],
-        "report": [["report", "--from", "12", "--to", "40"]],
+        "report": [["report", "--from", "12", "--to", "40"],
+                   ["report", "--from", "42", "--to", "60"]],
         "ds-solve": [["ds-solve", "--weight", str(n)] for n in range(3, 11)],
         "fz-dim": [["fz-dim", "--weight", str(n)] for n in range(2, 11)],
         "regularize": [["regularize", "--word", w] + star

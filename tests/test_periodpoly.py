@@ -63,7 +63,7 @@ def test_non_solution_fails_functional_equations():
 
 
 def test_basis_is_kernel_of_A():
-    # the report compares the two only up to weight 40
+    # at every weight ek_basis takes, as the report compares them
     for k in range(12, 61, 2):
         assert ek_basis(k) == kernel(build_A(k))
 

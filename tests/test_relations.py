@@ -1,11 +1,14 @@
 import json
 from collections import Counter
+from fractions import Fraction
 
 import jsonschema
+import mpmath as mp
 import pytest
 
 from dshuffle import linalg, relations
 from dshuffle.linalg import Mat, build_A, kernel, normalize_vector, same_span
+from dshuffle.numzeta import verify_relation
 from dshuffle.periodpoly import ek_basis, q_vector
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, gkz_scalar, ihara_relations)
@@ -102,18 +105,35 @@ def test_gkz_scalar_rejects_a_single_double_zeta(k):
         gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 1),)))
 
 
-@pytest.mark.parametrize("terms", [
-    (((9, 4), 1),),                      # weight 13 in a weight-12 relation
-    (((9, 3), 1), ((1, 11), 1)),         # Z(1, 11) diverges
-    (((12, 0), 1),),                     # not a double zeta
-])
+# malformed terms of a weight-12 relation, each with its error and message
+MALFORMED_TERMS = {
+    (((9, 4), 1),): (ValueError, "weight 12"),                 # weight 13
+    (((9, 3), 1), ((1, 11), 1)): (ValueError, "weight 12"),    # Z(1, 11) diverges
+    (((12, 0), 1),): (ValueError, "weight 12"),                # not a double zeta
+    (((9, 3), 1), ((9.5, 2.5), 1)): (ValueError, "admissible composition"),
+    (((7, 5), 1), ((9, 3), 0.5)): (TypeError, "not a rational scalar: 0.5"),
+}
+
+
+@pytest.mark.parametrize("terms", MALFORMED_TERMS)
 def test_gkz_scalar_rejects_terms_off_weight_before_building(monkeypatch, terms):
     def forbidden(*args):
         raise AssertionError("built the formal space for a malformed relation")
     for name in ("shuffle", "stuffle", "kernel"):
         monkeypatch.setattr(relations, name, forbidden)
-    with pytest.raises(ValueError, match="weight 12"):
+    error, match = MALFORMED_TERMS[terms]
+    with pytest.raises(error, match=match):
         gkz_scalar(Relation(12, "double_zeta", terms))
+
+
+def test_gkz_scalar_sums_a_repeated_term():
+    # every term listed twice is the relation doubled, as verify_relation
+    # reads it by summing every term
+    rel = gkz_relations(12)[0]
+    assert gkz_scalar(rel) == Fraction(5197, 691)
+    twice = Relation(12, "double_zeta", rel.terms * 2)
+    assert gkz_scalar(twice) == Fraction(10394, 691)
+    assert verify_relation(twice, 30)[0] < mp.mpf(10) ** -30
 
 
 def test_relation_counts_match_dimension():
@@ -194,8 +214,17 @@ def test_report_symbolic_skipped_above_30():
     assert rep["all_ok"]
 
 
-def test_report_weight_guard():
+def test_report_weight_guard(monkeypatch):
     with pytest.raises(ValueError):
         correspondence_report(10)
     with pytest.raises(ValueError):
         correspondence_report(13)
+    # ek_basis runs first, so a weight above its 60 is rejected before A
+    # (248 x 248 at weight 500) is built or any kernel taken
+    def forbidden(*args):
+        raise AssertionError("built a matrix for a weight the report rejects")
+    for name in ("build_A", "kernel"):
+        monkeypatch.setattr(relations, name, forbidden)
+    for k in (62, 500):
+        with pytest.raises(ValueError, match="k <= 60"):
+            correspondence_report(k)
