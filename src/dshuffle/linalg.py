@@ -225,8 +225,8 @@ def same_span(vs: list, ws: list) -> bool:
 
 
 def _check_weight(k: int) -> int:
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and >= 12, got {k}")
+    if not isinstance(k, int) or k % 2 or k < 12:
+        raise ValueError(f"weight must be even and >= 12, got {k!r}")
     return (k - 4) // 2
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import List
 
 from .linalg import Mat, kernel
@@ -51,12 +52,15 @@ def _three_term(k: int, i: int) -> list:
     return row
 
 
+@lru_cache(maxsize=None, typed=True)
 def ek_basis(k: int) -> List[list]:
     """Exact basis of E_k as coefficient vectors (p_2, p_4, ..., p_(k-4)),
     normalized to integers with content 1 and positive first nonzero entry.
-    The vector is also the bracket relation's a: a_i = p_2i."""
-    if k % 2 or not 4 <= k <= 60:
-        raise ValueError("weight must be even with 4 <= k <= 60")
+    The vector is also the bracket relation's a: a_i = p_2i.  Cached, one
+    basis per weight and process: callers only read it.  typed, so that
+    12.0 misses the k = 12 entry and is rejected as not an int."""
+    if not isinstance(k, int) or k % 2 or not 4 <= k <= 60:
+        raise ValueError(f"weight must be even with 4 <= k <= 60, got {k!r}")
     n = (k - 4) // 2
     rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -346,6 +347,74 @@ def test_too_large_weight_is_rejected_before_eliminating_tA(capsys, monkeypatch)
         assert code == 2
         assert out == ""
         assert "4 <= k <= 60" in err
+
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def spy_kernels(monkeypatch):
+    """Counters of the matrices periodpoly and relations hand to kernel,
+    keyed by their rows."""
+    seen = {periodpoly: Counter(), relations: Counter()}
+    for module, calls in seen.items():
+        def spy(M, calls=calls):
+            calls[repr(M.rows)] += 1
+            return linalg.kernel(M)
+        monkeypatch.setattr(module, "kernel", spy)
+    return seen
+
+
+def run_golden(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert [hashlib.sha256(out.encode()).hexdigest(), code] == GOLDEN[" ".join(argv)]
+
+
+def test_relations_solves_E_k_once(capsys, monkeypatch):
+    # ihara_relations and gkz_relations read one cached basis
+    seen = spy_kernels(monkeypatch)
+    run_golden(capsys, "relations", "--weight", "16", "--format", "text")
+    assert list(seen[periodpoly].values()) == [1]
+
+
+# report 12..40 has a recorded digest and includes weight 16
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_relations_and_report_share_each_weight(capsys, monkeypatch, order):
+    # every E_k and every Ker A, Ker tA is solved once per process, whichever
+    # command asks first
+    seen = spy_kernels(monkeypatch)
+    argvs = [["relations", "--weight", "16", "--format", "text"],
+             ["report", "--from", "12", "--to", "40"]]
+    for i in order:
+        run_golden(capsys, *argvs[i])
+    weights = range(12, 41, 2)
+    assert len(seen[periodpoly]) == len(weights)
+    assert set(seen[periodpoly].values()) == {1}
+    tAs = {repr(linalg.build_A(k).transpose().rows) for k in weights}
+    assert len(seen[relations]) == 2 * len(weights)
+    assert tAs <= set(seen[relations])
+    assert set(seen[relations].values()) == {1}
+
+
+def test_cached_weight_objects_survive_every_reading_command(capsys):
+    # callers only read the shared values: after every command that reads
+    # them, at every weight, each still equals a fresh build
+    weights = range(12, 61, 2)
+    argvs = [["relations", "--weight", str(k), "--format", f]
+             for k in weights for f in ("text", "json", "csv")]
+    argvs += [["report", "--from", "12", "--to", "60"]]
+    argvs += [[cmd, "--weight", str(k)] + extra for k in weights
+              for cmd, extra in (("period-basis", []), ("check", ["--digits", "15"]))]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+    misses = (periodpoly.ek_basis.cache_info().misses,
+              relations._weight_kernels.cache_info().misses)
+    for k in weights:
+        assert periodpoly.ek_basis(k) == periodpoly.ek_basis.__wrapped__(k)
+        A = linalg.build_A(k)
+        assert relations._weight_kernels(k) == (A, linalg.kernel(A),
+                                                linalg.kernel(A.transpose()))
+    assert misses == (periodpoly.ek_basis.cache_info().misses,
+                      relations._weight_kernels.cache_info().misses)
 
 
 def test_report_and_matrix_products_take_int_operands(capsys, monkeypatch):

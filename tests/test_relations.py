@@ -228,3 +228,15 @@ def test_report_weight_guard(monkeypatch):
     for k in (62, 500):
         with pytest.raises(ValueError, match="k <= 60"):
             correspondence_report(k)
+
+
+@pytest.mark.parametrize("weight", [12.0, "12"])
+@pytest.mark.parametrize("call", [ek_basis, ihara_relations, gkz_relations,
+                                  correspondence_report, build_A])
+def test_non_int_weight_is_rejected(call, weight):
+    # 12.0 == 12 and hash(12.0) == hash(12): an untyped cache would key
+    # ek_basis(k=12) and ek_basis(k=12.0) alike and answer 12.0 with E_12
+    assert ek_basis(12) == ek_basis(k=12) == [[1, -3, 3, -1]]
+    for args, kwargs in (((weight,), {}), ((), {"k": weight})):
+        with pytest.raises(ValueError, match="weight must be even"):
+            call(*args, **kwargs)
