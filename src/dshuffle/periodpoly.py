@@ -52,15 +52,21 @@ def _three_term(k: int, i: int) -> list:
     return row
 
 
-@lru_cache(maxsize=None, typed=True)
 def ek_basis(k: int) -> List[list]:
     """Exact basis of E_k as coefficient vectors (p_2, p_4, ..., p_(k-4)),
     normalized to integers with content 1 and positive first nonzero entry.
-    The vector is also the bracket relation's a: a_i = p_2i.  Cached, one
-    basis per weight and process: callers only read it.  typed, so that
-    12.0 misses the k = 12 entry and is rejected as not an int."""
+    The vector is also the bracket relation's a: a_i = p_2i.  Each call
+    returns fresh lists, copied from the basis solved once per weight and
+    process."""
     if not isinstance(k, int) or k % 2 or not 4 <= k <= 60:
         raise ValueError(f"weight must be even with 4 <= k <= 60, got {k!r}")
+    return [list(p) for p in _solve_ek(k)]
+
+
+@lru_cache(maxsize=None)
+def _solve_ek(k: int) -> tuple:
+    """E_k's basis as tuples, solved and checked once per weight: ek_basis
+    hands out copies, so no caller can change what the next one reads."""
     n = (k - 4) // 2
     rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0
@@ -77,7 +83,7 @@ def ek_basis(k: int) -> List[list]:
     for p in basis:
         if p != [-c for c in reversed(p)]:
             raise ConsistencyError(f"E_{k} basis vector violates antisymmetry: {p}")
-    return basis
+    return tuple(map(tuple, basis))
 
 
 def q_vector(p: list) -> tuple:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import List
 
 import mpmath as mp
@@ -68,15 +67,6 @@ def ihara_relations(k: int) -> List[Relation]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _weight_kernels(k: int) -> tuple:
-    """(A, Ker A, Ker tA) at weight k: A built and both kernels taken once
-    per process, for gkz_relations and correspondence_report alike, which
-    check k with ek_basis first.  Cached: callers only read them."""
-    A = build_A(k)
-    return A, kernel(A), kernel(A.transpose())
-
-
 def gkz_relations(k: int) -> List[Relation]:
     """One double zeta relation per period polynomial basis element.
 
@@ -90,7 +80,7 @@ def gkz_relations(k: int) -> List[Relation]:
     """
     pairs = [(2 * j + 1, k - 2 * j - 1) for j in range(1, _check_weight(k) + 1)]
     vecs = [[2 * c for c in normalize_vector(q_vector(p))] for p in ek_basis(k)]
-    if not same_span(vecs, _weight_kernels(k)[2]):
+    if not same_span(vecs, kernel(build_A(k).transpose())):
         raise ConsistencyError("emitted relations do not span Ker tA")
     return [Relation(weight=k, kind="double_zeta", terms=tuple(zip(pairs, q))[::-1])
             for q in vecs]
@@ -140,9 +130,11 @@ def correspondence_report(k: int) -> dict:
     build_A and ek_basis take, even 12..60: ek_basis runs first, as in
     gkz_relations, so a larger weight is rejected before A is built."""
     basis = ek_basis(k)
-    A, ker_A, ker_tA = _weight_kernels(k)
+    A = build_A(k)
     tA = A.transpose()
     L, DB = scaled_DB(build_D(k), build_B(k))
+    ker_A = kernel(A)
+    ker_tA = kernel(tA)
     dim_formula = ek_dim_formula(k)
     dims_agree = len(basis) == len(ker_A) == len(ker_tA) == dim_formula
     # null above 30, as the recorded report 12..40 digest prints it

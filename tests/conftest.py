@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 
 from dshuffle.lie import admissible_stuffle_pairs
 from dshuffle.numzeta import GUARD_DIGITS
-from dshuffle.periodpoly import ek_basis
+from dshuffle.periodpoly import _solve_ek
 from dshuffle.regularization import star_regularize
-from dshuffle.relations import _weight_kernels
 from dshuffle.words import NcPoly, accumulate, bracket, pair, shuffle_poly, stuffle
 
 
 @pytest.fixture(autouse=True)
-def cold_weight_caches():
-    """Every test starts with no cached E_k basis or weight kernels, so a
-    test that patches what ek_basis or _weight_kernels calls reaches the
-    patched code, and none reads a value an earlier test built."""
-    ek_basis.cache_clear()
-    _weight_kernels.cache_clear()
+def cold_ek_cache():
+    """Every test starts with no cached E_k basis, so a test that patches
+    what ek_basis calls reaches the patched code, and none reads a basis an
+    earlier test built."""
+    _solve_ek.cache_clear()
 
 
 def words(min_size=0, max_size=6):

@@ -353,12 +353,12 @@ GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def spy_kernels(monkeypatch):
-    """Counters of the matrices periodpoly and relations hand to kernel,
-    keyed by their rows."""
-    seen = {periodpoly: Counter(), relations: Counter()}
+    """The rows of the matrices periodpoly and relations hand to kernel, in
+    call order."""
+    seen = {periodpoly: [], relations: []}
     for module, calls in seen.items():
         def spy(M, calls=calls):
-            calls[repr(M.rows)] += 1
+            calls.append(M.rows)
             return linalg.kernel(M)
         monkeypatch.setattr(module, "kernel", spy)
     return seen
@@ -370,34 +370,49 @@ def run_golden(capsys, *argv):
 
 
 def test_relations_solves_E_k_once(capsys, monkeypatch):
-    # ihara_relations and gkz_relations read one cached basis
+    # ihara_relations and gkz_relations read one solved basis
     seen = spy_kernels(monkeypatch)
     run_golden(capsys, "relations", "--weight", "16", "--format", "text")
-    assert list(seen[periodpoly].values()) == [1]
+    assert len(seen[periodpoly]) == 1
 
 
 # report 12..40 has a recorded digest and includes weight 16
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_relations_and_report_share_each_weight(capsys, monkeypatch, order):
-    # every E_k and every Ker A, Ker tA is solved once per process, whichever
-    # command asks first
+def test_relations_and_report_share_each_E_k(capsys, monkeypatch, order):
+    # every E_k is solved once per process, whichever command asks first;
+    # each command still eliminates its own A and tA
     seen = spy_kernels(monkeypatch)
     argvs = [["relations", "--weight", "16", "--format", "text"],
              ["report", "--from", "12", "--to", "40"]]
     for i in order:
         run_golden(capsys, *argvs[i])
     weights = range(12, 41, 2)
-    assert len(seen[periodpoly]) == len(weights)
-    assert set(seen[periodpoly].values()) == {1}
-    tAs = {repr(linalg.build_A(k).transpose().rows) for k in weights}
-    assert len(seen[relations]) == 2 * len(weights)
-    assert tAs <= set(seen[relations])
-    assert set(seen[relations].values()) == {1}
+    solved = seen[periodpoly]
+    assert len({repr(rows) for rows in solved}) == len(solved) == len(weights)
+    As = {k: linalg.build_A(k) for k in weights}
+    expected = Counter(repr(M.rows) for A in As.values() for M in (A, A.transpose()))
+    expected[repr(As[16].transpose().rows)] += 1
+    assert Counter(map(repr, seen[relations])) == expected
 
 
-def test_cached_weight_objects_survive_every_reading_command(capsys):
-    # callers only read the shared values: after every command that reads
-    # them, at every weight, each still equals a fresh build
+@pytest.mark.parametrize("argv, scalar_systems", [
+    (["check", "--weight", "40", "--digits", "15"], 3),
+    (["relations", "--weight", "40", "--kind", "zeta"], 0),
+    (["relations", "--weight", "40"], 0),
+])
+def test_gkz_side_eliminates_only_tA(capsys, monkeypatch, argv, scalar_systems):
+    # Ker tA is the only kernel of A or tA the double zeta side reads; check
+    # adds one scalar system of k - 1 rows per relation (dim E_40 = 3)
+    seen = spy_kernels(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert len(seen[periodpoly]) == 1
+    assert seen[relations][0] == linalg.build_A(40).transpose().rows
+    assert [len(rows) for rows in seen[relations][1:]] == [39] * scalar_systems
+
+
+def test_cached_bases_survive_every_reading_command(capsys):
+    # callers get copies of the shared bases: after every command that reads
+    # them, at every weight, each still equals a fresh solve
     weights = range(12, 61, 2)
     argvs = [["relations", "--weight", str(k), "--format", f]
              for k in weights for f in ("text", "json", "csv")]
@@ -406,15 +421,11 @@ def test_cached_weight_objects_survive_every_reading_command(capsys):
               for cmd, extra in (("period-basis", []), ("check", ["--digits", "15"]))]
     for argv in argvs:
         assert run(capsys, *argv)[0] == 0
-    misses = (periodpoly.ek_basis.cache_info().misses,
-              relations._weight_kernels.cache_info().misses)
+    misses = periodpoly._solve_ek.cache_info().misses
+    assert misses == len(weights)
     for k in weights:
-        assert periodpoly.ek_basis(k) == periodpoly.ek_basis.__wrapped__(k)
-        A = linalg.build_A(k)
-        assert relations._weight_kernels(k) == (A, linalg.kernel(A),
-                                                linalg.kernel(A.transpose()))
-    assert misses == (periodpoly.ek_basis.cache_info().misses,
-                      relations._weight_kernels.cache_info().misses)
+        assert periodpoly._solve_ek(k) == periodpoly._solve_ek.__wrapped__(k)
+    assert periodpoly._solve_ek.cache_info().misses == misses
 
 
 def test_report_and_matrix_products_take_int_operands(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from dshuffle import linalg, relations
 from dshuffle.linalg import Mat, build_A, kernel, normalize_vector, same_span
 from dshuffle.numzeta import verify_relation
-from dshuffle.periodpoly import ek_basis, q_vector
+from dshuffle.periodpoly import _solve_ek, ek_basis, q_vector
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, gkz_scalar, ihara_relations)
 from dshuffle.words import ConsistencyError
@@ -234,9 +234,25 @@ def test_report_weight_guard(monkeypatch):
 @pytest.mark.parametrize("call", [ek_basis, ihara_relations, gkz_relations,
                                   correspondence_report, build_A])
 def test_non_int_weight_is_rejected(call, weight):
-    # 12.0 == 12 and hash(12.0) == hash(12): an untyped cache would key
-    # ek_basis(k=12) and ek_basis(k=12.0) alike and answer 12.0 with E_12
+    # the weight is checked before the cached solve, which positional and
+    # keyword calls reach alike: 12.0 == 12 would read the k = 12 entry
     assert ek_basis(12) == ek_basis(k=12) == [[1, -3, 3, -1]]
     for args, kwargs in (((weight,), {}), ((), {"k": weight})):
         with pytest.raises(ValueError, match="weight must be even"):
             call(*args, **kwargs)
+    assert _solve_ek.cache_info().currsize == 1
+
+
+def test_a_changed_basis_changes_nothing_later():
+    # every caller gets its own lists, so a library caller that edits one
+    # leaves the shared basis, the relations and the report as they were
+    def results():
+        return ([str(r) for r in ihara_relations(16) + gkz_relations(16)],
+                correspondence_report(16))
+    before = results()
+    basis = ek_basis(16)
+    basis[0][0] = 5
+    basis.append([0] * 6)
+    assert ek_basis(16) == [[2, -7, 11, -11, 7, -2]]
+    assert results() == before
+    assert before[1]["all_ok"]
