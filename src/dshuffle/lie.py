@@ -62,7 +62,7 @@ def ds_solve(n: int) -> list:
     over the Lyndon-word basis of Lie_n.  Each solution is normalized so the
     coefficient of x^(n-1) y is 1 when nonzero.
     """
-    if not 3 <= n <= 10:
+    if not isinstance(n, int) or not 3 <= n <= 10:
         raise ValueError("ds_solve supports 3 <= n <= 10")
     basis = lie_basis(n)
     support: dict = {}  # word -> indices of the basis elements that hold it

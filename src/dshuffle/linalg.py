@@ -38,7 +38,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .words import NcPoly, ad_x_pow, format_rational, odot, scaled, unscaled
+from .words import NcPoly, ad_x_pow, odot, scaled, unscaled
 
 
 class Mat:
@@ -127,13 +127,13 @@ class Mat:
     # -- serialization --------------------------------------------------
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(format_rational(c) for c in row) for row in self.rows)
+        return "\n".join(",".join(map(str, row)) for row in self.rows)
 
     def to_json(self) -> str:
-        return json.dumps([[format_rational(c) for c in row] for row in self.rows])
+        return json.dumps([list(map(str, row)) for row in self.rows])
 
     def __str__(self) -> str:
-        cells = [[format_rational(c) for c in row] for row in self.rows]
+        cells = [list(map(str, row)) for row in self.rows]
         width = max((len(s) for row in cells for s in row), default=1)
         return "\n".join("[ " + "  ".join(s.rjust(width) for s in row) + " ]"
                          for row in cells)
@@ -227,6 +227,10 @@ def same_span(vs: list, ws: list) -> bool:
 def _check_weight(k: int) -> int:
     if not isinstance(k, int) or k % 2 or k < 12:
         raise ValueError(f"weight must be even and >= 12, got {k!r}")
+    # The builders cost about k^3: in a fresh process tADB takes 0.4 s and
+    # 24 MB at weight 200, and 2.2 s and 54 MB at 400.
+    if k > 200:
+        raise ValueError(f"weight must be at most 200, got {k}")
     return (k - 4) // 2
 
 

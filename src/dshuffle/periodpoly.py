@@ -31,7 +31,7 @@ def period_str(p: list) -> str:
 
 def ek_dim_formula(k: int) -> int:
     """floor((k-4)/4) - floor((k-2)/6)."""
-    if k % 2 or k < 4:
+    if not isinstance(k, int) or k % 2 or k < 4:
         raise ValueError("weight must be even and >= 4")
     return (k - 4) // 4 - (k - 2) // 6
 

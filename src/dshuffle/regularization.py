@@ -126,29 +126,21 @@ def stuffle_relation(u: Word, v: Word) -> NcPoly:
     return NcPoly._wrap({w: unscaled(c, den) for w, c in out.items()})
 
 
-def weight_relations(n: int) -> list:
-    """All nonzero stuffle relations of weight n, each as its int sums: a
-    nonzero multiple of stuffle_relation(u, v), which spans the same row and
-    leaves kernel no denominator to clear."""
-    out = []
-    for u, v in stuffle_pairs(n):
-        sums, _ = _relation_sums(u, v)
-        if sums:
-            out.append(NcPoly._wrap(sums))
-    return out
-
-
 def fz_quotient_dim(n: int) -> tuple:
     """Dimension of the weight-n formal zeta quotient and a reduced
-    basis of the relation space (rows over convergent symbols)."""
-    if not 2 <= n <= 10:
+    basis of the relation space (rows over convergent symbols).  A row is
+    the int sums of a nonzero stuffle_relation(u, v): the same row up to
+    scale, with no denominator for kernel to clear."""
+    if not isinstance(n, int) or not 2 <= n <= 10:
         raise ValueError("quotient dimensions are desk-scale: 2 <= n <= 10")
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
     rows = []
-    for rel in weight_relations(n):
-        if rel.coeff(""):
+    for u, v in stuffle_pairs(n):
+        sums, _ = _relation_sums(u, v)
+        if "" in sums:
             raise ConsistencyError("weight-homogeneous relation grew a scalar part")
-        rows.append([rel.coeff(w) for w in symbols])
+        if sums:
+            rows.append([sums.get(w, 0) for w in symbols])
     red, pivots = Mat(rows).rref()
     basis = [NcPoly(dict(zip(symbols, row))) for row in red.rows[: len(pivots)]]
     return len(symbols) - len(pivots), basis
@@ -164,7 +156,7 @@ def sh_basis_dim(n: int) -> int:
     to reach column c: it adds e_c to K and drops it, cutting nothing.  So
     K is empty whenever a row of -R^t comes, and those rows cost no dot
     product."""
-    if not 2 <= n <= 8:
+    if not isinstance(n, int) or not 2 <= n <= 8:
         raise ValueError("2 <= n <= 8")
     columns = sorted(words_of_weight(n), key=is_convergent)  # stable: False first
     index = {w: i for i, w in enumerate(columns)}

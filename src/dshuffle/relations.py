@@ -16,8 +16,8 @@ from .linalg import (Mat, _check_weight, build_A, build_A_symbolic, build_B,
                      build_D, conjugate_M, block_check, kernel, normalize_vector,
                      same_span, scaled_DB)
 from .periodpoly import ek_basis, ek_dim_formula, q_vector
-from .words import (ConsistencyError, NcPoly, accumulate, format_rational,
-                    format_terms, shuffle, stuffle, word_of_composition)
+from .words import (ConsistencyError, NcPoly, accumulate, format_terms, shuffle,
+                    stuffle, word_of_composition)
 
 
 class Relation:
@@ -40,7 +40,7 @@ class Relation:
         return {
             "weight": self.weight,
             "kind": self.kind,
-            "terms": [{"r": r, "s": s, "coeff": format_rational(c)}
+            "terms": [{"r": r, "s": s, "coeff": str(c)}
                       for (r, s), c in self.terms],
             # always null: the recorded `relations --format json` digests print it
             "scalar_estimate": None,
@@ -159,6 +159,6 @@ def correspondence_report(k: int) -> dict:
         "symbolic_agrees": symbolic_agrees, "symmetry_ok": symmetry_ok,
         "block_ok": block_ok, "duality_span_ok": duality_span_ok,
         "q_equals_DBa": q_equals_DBa, "all_ok": not failures, "failures": failures,
-        "ker_A": [[format_rational(c) for c in v] for v in ker_A],
-        "ker_tA": [[format_rational(c) for c in v] for v in ker_tA],
+        "ker_A": [list(map(str, v)) for v in ker_A],
+        "ker_tA": [list(map(str, v)) for v in ker_tA],
     }

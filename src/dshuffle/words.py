@@ -64,10 +64,6 @@ class NcPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "NcPoly":
         return cls({"": 1})
 
@@ -108,9 +104,6 @@ class NcPoly:
         if not isinstance(c, Rational):
             raise TypeError(f"not a rational scalar: {c!r}")
         return self._wrap({} if not c else {w: c * v for w, v in self.terms.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NcPoly) and self.terms == other.terms
@@ -158,11 +151,6 @@ def unscaled(n: int, scale: int) -> Rational:
     return Fraction(n, scale) if scale > 1 else n
 
 
-def format_rational(c: Rational) -> str:
-    """Print a rational as "p/q", or "p" when the denominator is 1."""
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_terms(terms: Iterable[tuple], sep: str = "") -> str:
     """Print (symbol, coefficient) pairs as "a - b + 2c" in the given order.
 
@@ -176,11 +164,11 @@ def format_terms(terms: Iterable[tuple], sep: str = "") -> str:
             continue
         mag = abs(c)
         if not sym:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = sym
         else:
-            body = f"{format_rational(mag)}{sep}{sym}"
+            body = str(mag) + sep + sym
         if out:
             out += f" - {body}" if c < 0 else f" + {body}"
         else:

@@ -18,9 +18,9 @@ from dshuffle.linalg import (Mat, block_check, build_A, build_A_symbolic,
 from dshuffle.numzeta import verify_relation
 from dshuffle.periodpoly import ek_basis, ek_dim_formula, q_vector
 from dshuffle.regularization import (sh_basis_dim, shuffle_regularize,
-                                     weight_relations)
+                                     stuffle_relation)
 from dshuffle.relations import gkz_relations, ihara_relations
-from dshuffle.words import pair, stuffle
+from dshuffle.words import pair, stuffle, stuffle_pairs
 
 A12_PRINTED = Mat([
     [1, 6, 15, 28],
@@ -136,7 +136,7 @@ def test_criterion_10_regularization():
     assert not shuffle_regularize("x")
     assert not shuffle_regularize("y")
     # Euler: Z(2,1) - Z(3) lies in the span of the weight-3 stuffle relations
-    rels = weight_relations(3)
+    rels = [stuffle_relation(u, v) for u, v in stuffle_pairs(3)]
     symbols = ["xxy", "xyy"]  # Z(3), Z(2,1)
     rows = [[rel.coeff(w) for w in symbols] for rel in rels]
     euler = [Fraction(-1), Fraction(1)]

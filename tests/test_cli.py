@@ -255,7 +255,7 @@ def test_report_bad_range_exit_2(capsys, start, stop):
 @pytest.mark.parametrize("module, name, fake, argv", [
     ("relations", "same_span", lambda vs, ws: False, ["relations", "--weight", "12"]),
     ("periodpoly", "ek_dim_formula", lambda k: -1, ["period-basis", "--weight", "12"]),
-    ("regularization", "weight_relations", lambda n: [NcPoly.one()],
+    ("regularization", "_relation_sums", lambda u, v: ({"": 1}, 1),
      ["fz-dim", "--weight", "4"]),
 ])
 def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, argv):
@@ -297,7 +297,7 @@ REPORT_12 = ["report", "--from", "12", "--to", "12"]
      REPORT_12, ["dimension mismatch"]),
     ("relations", "q_vector", q_bumped,
      ["relations", "--weight", "12"], ["emitted relations do not span Ker tA"]),
-    ("relations", "stuffle", lambda u, v: NcPoly.zero(),
+    ("relations", "stuffle", lambda u, v: NcPoly(),
      ["check", "--weight", "12", "--digits", "15"], ["no unique scalar"]),
     ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
      ["period-basis", "--weight", "12"], ["E_12 basis vector violates antisymmetry"]),

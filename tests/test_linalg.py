@@ -453,6 +453,16 @@ def test_weight_guard():
         build_A_symbolic(13)
 
 
+@pytest.mark.parametrize("build", [build_A, build_A_symbolic, conjugate_M, build_S,
+                                   build_T, build_D, build_B, symmetry_product])
+def test_builders_own_the_weight_cap(build):
+    # the builders cost about k^3, so a library call is capped as `matrix` is,
+    # before it builds anything
+    for k in (202, 400):
+        with pytest.raises(ValueError, match="at most 200"):
+            build(k)
+
+
 def test_serialization():
     M = Mat([[1, Fraction(-1, 2)], [0, 3]])
     assert M.to_csv() == "1,-1/2\n0,3"

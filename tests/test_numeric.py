@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from conftest import holder_zeta_oracle, nsum_zeta_double, reconstruct_rational
+from dshuffle import numzeta
 from dshuffle.numzeta import _holder_zetas, verify_relation, zeta_double, zeta_single
 from dshuffle.words import word_of_composition
 from dshuffle.relations import Relation, gkz_relations, gkz_scalar, ihara_relations
@@ -159,6 +160,31 @@ def test_verify_rejects_working_digits_above_100():
     # 90 digits plus ceil(log10 sum |q|) = 19 at weight 40 is 109 working digits
     with pytest.raises(ValueError):
         verify_relation(gkz_relations(40)[0], 90)
+
+
+def test_check_digits_cap_keeps_working_digits_under_100(monkeypatch):
+    # check takes at most 40 digits, and verify_relation adds
+    # ceil(log10 sum |q|) for the coefficients: its largest working
+    # precision over every relation check takes is under numzeta's 100
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def spy(words, digits):
+        seen.append(digits)
+        raise Stop
+
+    monkeypatch.setattr(numzeta, "gkz_scalar", lambda rel: Fraction(0))
+    monkeypatch.setattr(numzeta, "_holder_zetas", spy)
+    peaks = {}
+    for k in range(12, 61, 2):
+        for rel in gkz_relations(k):
+            with pytest.raises(Stop):
+                verify_relation(rel, 40)
+            peaks[k] = max(peaks.get(k, 0), seen[-1])
+    assert max(peaks.values()) == peaks[58] == 76
+    assert max(seen) <= 100
 
 
 def test_verify_rejects_bracket_relations():

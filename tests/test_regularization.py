@@ -8,11 +8,10 @@ from conftest import (fraction_rref, fraction_stuffle_relation, poly_weight,
                       star_unit_oracle, words, y_words)
 from dshuffle import regularization
 from dshuffle.linalg import Mat
-from dshuffle.regularization import (_scaled_star, decompose, fz_quotient_dim,
-                                     sh_basis_dim, shuffle_regularize,
-                                     star_regularize, star_units,
-                                     stuffle_relation, weight_relations,
-                                     zeta_str)
+from dshuffle.regularization import (_relation_sums, _scaled_star, decompose,
+                                     fz_quotient_dim, sh_basis_dim,
+                                     shuffle_regularize, star_regularize,
+                                     star_units, stuffle_relation, zeta_str)
 from dshuffle.words import (NcPoly, _shuffle_words, _stuffle_words, is_convergent,
                             shuffle, shuffle_poly, stuffle, stuffle_pairs,
                             words_of_weight)
@@ -184,15 +183,27 @@ def test_sh_basis_dim_rank_matches_natural_column_order(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_weight_relations_are_multiples_of_stuffle_relations(n):
-    # the int sums before stuffle_relation's one division: the same rows
-    # up to a nonzero scale, in the same order
+def test_weight_relations_are_multiples_of_stuffle_relations(monkeypatch, n):
+    # fz_quotient_dim's rows are the int sums before stuffle_relation's one
+    # division: the nonzero relations up to a nonzero scale, in pair order
+    seen = []
+
+    def spy(rows):
+        seen.extend(rows)
+        return Mat(rows)
+
+    monkeypatch.setattr(regularization, "Mat", spy)
+    fz_quotient_dim(n)
+    symbols = [w for w in words_of_weight(n) if is_convergent(w)]
     rels = [rel for rel in (stuffle_relation(u, v) for u, v in stuffle_pairs(n)) if rel]
-    sums = weight_relations(n)
-    assert len(sums) == len(rels)
-    for s, rel in zip(sums, rels):
+    assert len(seen) == len(rels)
+    for row, rel in zip(seen, rels):
+        s = NcPoly(dict(zip(symbols, row)))
         w = next(iter(rel.terms))
         assert s == rel.scale(Fraction(s.coeff(w)) / rel.coeff(w))
+    for u, v in stuffle_pairs(n):
+        sums, den = _relation_sums(u, v)
+        assert NcPoly(sums) == stuffle_relation(u, v).scale(den)
 
 
 def test_fz_quotient_dim_hands_mat_only_ints(monkeypatch):
@@ -211,9 +222,11 @@ def test_fz_quotient_dim_hands_mat_only_ints(monkeypatch):
 
 
 def test_weight_relations_homogeneous():
-    for rel in weight_relations(4):
-        assert poly_weight(rel) == 4
-        assert not rel.coeff("")
+    for u, v in stuffle_pairs(4):
+        sums, _ = _relation_sums(u, v)
+        assert "" not in sums
+        if sums:
+            assert poly_weight(NcPoly(sums)) == 4
 
 
 def test_range_guards():
@@ -243,7 +256,7 @@ def test_str_unit_and_scalar():
 
 def test_cached_values_survive_accumulation():
     # Accumulating sums must never write into a cached result.
-    weight_relations(6)
+    fz_quotient_dim(6)
     ys = [w for n in range(1, 7) for w in words_of_weight(n) if w.endswith("y")]
     ws = [w for n in range(7) for w in words_of_weight(n)]
     cached = [shuffle_regularize(w) for w in ws], star_units(6)
@@ -275,7 +288,7 @@ def test_values_are_on_convergent_or_empty_words(w, y, u, v, n):
     convergent words and the empty word (the unit): NcPoly itself accepts
     any word, so this is the only check of it."""
     values = [shuffle_regularize(w), star_regularize(y), stuffle_relation(u, v),
-              *weight_relations(n)]
+              *(NcPoly(_relation_sums(*p)[0]) for p in stuffle_pairs(n))]
     for f in values:
         assert all(not t or is_convergent(t) for t in f.terms), zeta_str(f)
 

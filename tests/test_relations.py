@@ -9,7 +9,9 @@ import pytest
 from dshuffle import linalg, relations
 from dshuffle.linalg import Mat, build_A, kernel, normalize_vector, same_span
 from dshuffle.numzeta import verify_relation
-from dshuffle.periodpoly import _solve_ek, ek_basis, q_vector
+from dshuffle.lie import ds_solve
+from dshuffle.periodpoly import _solve_ek, ek_basis, ek_dim_formula, q_vector
+from dshuffle.regularization import fz_quotient_dim, sh_basis_dim
 from dshuffle.relations import (Relation, correspondence_report,
                                 gkz_relations, gkz_scalar, ihara_relations)
 from dshuffle.words import ConsistencyError
@@ -230,15 +232,25 @@ def test_report_weight_guard(monkeypatch):
             correspondence_report(k)
 
 
+# the calls whose size is n: an int n in range and its range's message
+N_RANGES = {ds_solve: (9, "3 <= n <= 10"), fz_quotient_dim: (4, "2 <= n <= 10"),
+            sh_basis_dim: (4, "2 <= n <= 8")}
+
+
 @pytest.mark.parametrize("weight", [12.0, "12"])
 @pytest.mark.parametrize("call", [ek_basis, ihara_relations, gkz_relations,
-                                  correspondence_report, build_A])
+                                  correspondence_report, build_A, ek_dim_formula,
+                                  *N_RANGES])
 def test_non_int_weight_is_rejected(call, weight):
     # the weight is checked before the cached solve, which positional and
     # keyword calls reach alike: 12.0 == 12 would read the k = 12 entry
     assert ek_basis(12) == ek_basis(k=12) == [[1, -3, 3, -1]]
-    for args, kwargs in (((weight,), {}), ((), {"k": weight})):
-        with pytest.raises(ValueError, match="weight must be even"):
+    key, match = "k", "weight must be even"
+    if call in N_RANGES:
+        n, match = N_RANGES[call]
+        key, weight = "n", type(weight)(n)  # 9.0 or "9" for ds_solve
+    for args, kwargs in (((weight,), {}), ((), {key: weight})):
+        with pytest.raises(ValueError, match=match):
             call(*args, **kwargs)
     assert _solve_ek.cache_info().currsize == 1
 
