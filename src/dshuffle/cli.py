@@ -2,6 +2,8 @@
 
 Subcommands expose each pipeline with deterministic text/JSON/CSV output:
 relations, period-basis, matrix, check, report, ds-solve, regularize, fz-dim.
+main writes a command's lines to stdout once it has finished, so a rejected
+input or a broken invariant leaves stdout empty and a closed pipe ends quietly.
 Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -31,100 +34,80 @@ def _matrix_builders():
     }
 
 
-def _cmd_relations(args) -> int:
+def _cmd_relations(args) -> tuple[list, bool]:
     rels = []
     if args.kind in ("bracket", "all"):
         rels += relations.ihara_relations(args.weight)
     if args.kind in ("zeta", "all"):
         rels += relations.gkz_relations(args.weight)
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in rels], indent=2))
+        lines = [json.dumps([r.to_dict() for r in rels], indent=2)]
     elif args.format == "csv":
-        print("weight,kind,r,s,coeff")
-        for rel in rels:
-            for (r, s), c in rel.terms:
-                print(f"{rel.weight},{rel.kind},{r},{s},{str(c)}")
+        lines = ["weight,kind,r,s,coeff", *(f"{rel.weight},{rel.kind},{r},{s},{str(c)}"
+                                            for rel in rels for (r, s), c in rel.terms)]
     else:
-        for rel in rels:
-            print(str(rel))
-    return 0
+        lines = [str(rel) for rel in rels]
+    return lines, True
 
 
-def _cmd_period_basis(args) -> int:
+def _cmd_period_basis(args) -> tuple[list, bool]:
+    lines = []
     for p in periodpoly.ek_basis(args.weight):
-        print(periodpoly.period_str(p))
-        print("  a =", "(" + ", ".join(map(str, p)) + ")")
-        print("  q =", "(" + ", ".join(map(str, periodpoly.q_vector(p))) + ")")
-    return 0
+        lines += [periodpoly.period_str(p), "  a = (" + ", ".join(map(str, p)) + ")",
+                  "  q = (" + ", ".join(map(str, periodpoly.q_vector(p))) + ")"]
+    return lines, True
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> tuple[list, bool]:
     M = _matrix_builders()[args.which](args.weight)
-    if args.format == "csv":
-        print(M.to_csv())
-    elif args.format == "json":
-        print(M.to_json())
-    else:
-        print(str(M))
-    return 0
+    return [{"csv": M.to_csv, "json": M.to_json, "text": M.__str__}[args.format]()], True
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[list, bool]:
     # The largest working precision an accepted input reaches is 76 digits,
     # at weight 58 and 40 digits (see verify_relation), under numzeta's 100.
     if not 15 <= args.digits <= 40:
         raise ValueError(f"--digits must be in 15..40, got {args.digits}")
-    ok = True
     rels = relations.gkz_relations(args.weight)
     if not rels:
-        print(f"weight {args.weight}: no double zeta relations (dimension 0)")
-        return 0
+        return [f"weight {args.weight}: no double zeta relations (dimension 0)"], True
     threshold = mp.mpf(10) ** -args.digits
+    lines, ok = [], True
     for rel in rels:
         residual, scalar = numzeta.verify_relation(rel, args.digits)
-        status = "ok" if residual < threshold else "FAIL"
-        if status == "FAIL":
-            ok = False
-        print(f"{status} {rel}  scalar = {str(scalar)}  "
-              f"residual = {mp.nstr(residual, 3)}")
-    return 0 if ok else 1
+        ok &= residual < threshold
+        lines.append(f"{'ok' if residual < threshold else 'FAIL'} {rel}  "
+                     f"scalar = {str(scalar)}  residual = {mp.nstr(residual, 3)}")
+    return lines, ok
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[list, bool]:
     weights = range(args.start + args.start % 2, args.stop + 1, 2)
     if not weights:
         raise ValueError("--from/--to must span at least one even weight")
-    # all built before the first is printed: a rejected weight prints nothing
     reports = [relations.correspondence_report(k) for k in weights]
-    for rep in reports:
-        print(json.dumps(rep))
-    return 0 if all(rep["all_ok"] for rep in reports) else 1
+    return [json.dumps(rep) for rep in reports], all(rep["all_ok"] for rep in reports)
 
 
-def _cmd_ds_solve(args) -> int:
+def _cmd_ds_solve(args) -> tuple[list, bool]:
     basis = lie.ds_solve(args.weight)
-    print(f"dim ds_{args.weight} (depth-graded solver) = {len(basis)}")
-    for f in basis:
-        print(str(f))
-    return 0
+    return [f"dim ds_{args.weight} (depth-graded solver) = {len(basis)}",
+            *map(str, basis)], True
 
 
-def _cmd_regularize(args) -> int:
+def _cmd_regularize(args) -> tuple[list, bool]:
     # In a fresh process the costliest 14-letter words found, y^10 x^3 y --star
     # and y^6 x^8, take under 1.5 s and 100 MB; y^8 x^8 takes 4.3 s and 415 MB.
     if len(args.word) > 14:
         raise ValueError(f"--word must have at most 14 letters, got {len(args.word)}")
     reg = regularization.star_regularize if args.star else regularization.shuffle_regularize
-    print(regularization.zeta_str(reg(args.word)))
-    return 0
+    return [regularization.zeta_str(reg(args.word))], True
 
 
-def _cmd_fz_dim(args) -> int:
+def _cmd_fz_dim(args) -> tuple[list, bool]:
     dim, basis = regularization.fz_quotient_dim(args.weight)
-    print(f"dim weight-{args.weight} formal zeta quotient = {dim}")
-    for rel in basis:
-        print(f"{regularization.zeta_str(rel)} = 0")
-    return 0
+    return [f"dim weight-{args.weight} formal zeta quotient = {dim}",
+            *(f"{regularization.zeta_str(rel)} = 0" for rel in basis)], True
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, ok = args.func(args)
     except (ValueError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConsistencyError) else 2
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the interpreter's last flush goes to devnull, not a traceback
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ def zeta_single(k: int, digits: int) -> mp.mpf:
     """zeta(k) to the requested number of decimal digits."""
     if k < 2:
         raise ValueError("zeta(k) requires k >= 2")
-    if digits > 100:
-        raise ValueError("digits <= 100")
+    if not 1 <= digits <= 100:
+        raise ValueError(f"digits must be in 1..100, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):
         return +mp.zeta(k)
 
@@ -77,8 +77,8 @@ def _holder_zetas(words, digits: int) -> dict:
     (zeta(w) <= zeta(2, 1, ..., 1) = zeta(d + 1) <= zeta(2) term by term, d
     the depth).  The total error is below 4 * 10^-D = 4 * 10^-(digits + 15).
     """
-    if digits > 100:
-        raise ValueError("digits <= 100")
+    if not 1 <= digits <= 100:
+        raise ValueError(f"digits must be in 1..100, got {digits}")
     words, zetas = list(words), {}  # read once: words may be an iterator
     with mp.workdps(digits + GUARD_DIGITS):
         target = mp.mpf(10) ** -(digits + GUARD_DIGITS)

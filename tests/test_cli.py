@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -318,6 +319,39 @@ def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, mes
         assert out == ""
         [message] = messages
         assert err.startswith(f"error: {message}")
+
+
+def test_check_failure_on_a_later_relation_leaves_stdout_empty(capsys, monkeypatch):
+    # weight 24 has two relations: the first one's ok line must not be
+    # printed when the second breaks an invariant
+    calls = []
+
+    def second_call_raises(rel):
+        calls.append(rel)
+        if len(calls) == 2:
+            raise ConsistencyError("no unique scalar")
+        return relations.gkz_scalar(rel)
+    monkeypatch.setattr(numzeta, "gkz_scalar", second_call_raises)
+    code, out, err = run(capsys, "check", "--weight", "24", "--digits", "15")
+    assert len(calls) == 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no unique scalar")
+
+
+def test_closed_pipe_ends_quietly():
+    # tADB at weight 200 prints 1.3 MB, more than a pipe holds, so the
+    # writer is still writing when the reader closes its end
+    src = str(Path(dshuffle.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dshuffle.cli", "matrix", "--which", "tADB", "--weight", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_report_reads_D(capsys, monkeypatch):

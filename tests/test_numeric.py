@@ -22,6 +22,11 @@ def test_zeta_single_guards():
         zeta_single(1, 30)
     with pytest.raises(ValueError):
         zeta_single(2, 101)
+    # below one digit the working precision falls under the guard digits:
+    # zeta(12) read 1.0 at -30 digits
+    for digits in (0, -30):
+        with pytest.raises(ValueError):
+            zeta_single(12, digits)
 
 
 def test_zeta_double_euler_z21():
@@ -64,6 +69,9 @@ def test_zeta_double_guards():
         zeta_double(2, 0, 30)
     with pytest.raises(ValueError):
         zeta_double(2, 1, 101)
+    # zeta(2, 1) = 1.2020... read 1.0234375 at -30 digits
+    with pytest.raises(ValueError):
+        zeta_double(2, 1, -30)
 
 
 def test_non_integer_parts_are_rejected():
@@ -160,6 +168,9 @@ def test_verify_rejects_working_digits_above_100():
     # 90 digits plus ceil(log10 sum |q|) = 19 at weight 40 is 109 working digits
     with pytest.raises(ValueError):
         verify_relation(gkz_relations(40)[0], 90)
+    # and below one: at -20 digits the residual read 2.0, under 10^20
+    with pytest.raises(ValueError):
+        verify_relation(gkz_relations(12)[0], -20)
 
 
 def test_check_digits_cap_keeps_working_digits_under_100(monkeypatch):
