@@ -349,8 +349,8 @@ def test_closed_pipe_ends_quietly():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.readline()
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
     assert err == b""
 
 
