@@ -31,7 +31,7 @@ def zeta_single(k: int, digits: int) -> mp.mpf:
     """zeta(k) to the requested number of decimal digits."""
     if k < 2:
         raise ValueError("zeta(k) requires k >= 2")
-    if not 1 <= digits <= 100:
+    if not isinstance(digits, int) or not 1 <= digits <= 100:
         raise ValueError(f"digits must be in 1..100, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):
         return +mp.zeta(k)
@@ -77,7 +77,7 @@ def _holder_zetas(words, digits: int) -> dict:
     (zeta(w) <= zeta(2, 1, ..., 1) = zeta(d + 1) <= zeta(2) term by term, d
     the depth).  The total error is below 4 * 10^-D = 4 * 10^-(digits + 15).
     """
-    if not 1 <= digits <= 100:
+    if not isinstance(digits, int) or not 1 <= digits <= 100:
         raise ValueError(f"digits must be in 1..100, got {digits}")
     words, zetas = list(words), {}  # read once: words may be an iterator
     with mp.workdps(digits + GUARD_DIGITS):
@@ -127,8 +127,8 @@ def verify_relation(rel: Relation, digits: int) -> tuple:
     digits beyond `digits`, so their error, scaled by the coefficients,
     stays within the guard digits.  One _holder_zetas call takes them all.
     """
-    if rel.kind != "double_zeta":
-        raise ValueError("only double_zeta relations can be verified numerically")
+    if not isinstance(digits, int) or not 1 <= digits <= 100:
+        raise ValueError(f"digits must be in 1..100, got {digits}")
     scalar = gkz_scalar(rel)
     size = sum(abs(c) for _, c in rel.terms)
     d = digits + math.ceil(math.log10(max(size, 1)))

@@ -94,12 +94,13 @@ def gkz_scalar(rel: Relation) -> Fraction:
     Euler's Z(r) Z(s) = beta Z(k), beta = -B_r B_s C(k, r) / (2 B_k), for
     even r, s.  A kernel vector of the matrix whose columns are these rows,
     the relation and Z(k), with mu on the relation and nu on Z(k), gives
-    c = -nu/mu; there must be exactly one such c.  Every term must be a
-    Z(r, s) of weight k, r >= 2, s >= 1, with int parts and a rational
-    coefficient, all checked before the first row is built; a repeated
-    Z(r, s) counts with the sum of its coefficients."""
+    c = -nu/mu; there must be exactly one such c.  rel must be a double_zeta
+    relation and each term a Z(r, s) of weight k, r >= 2, s >= 1, with int
+    parts and a rational coefficient, all checked before the first row is
+    built; a repeated Z(r, s) counts with the sum of its coefficients."""
     k = rel.weight
-    if any(r < 2 or s < 1 or r + s != k for (r, s), _ in rel.terms):
+    if rel.kind != "double_zeta" or any(r < 2 or s < 1 or r + s != k
+                                        for (r, s), _ in rel.terms):
         raise ValueError(f"not a relation among Z(r, s) of weight {k}: {rel}")
     relation = sum((NcPoly({word_of_composition(rs): c}) for rs, c in rel.terms),
                    NcPoly())

@@ -549,12 +549,9 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
     assert zeta_csv.splitlines() == lines[:1] + [x for x in lines if ",double_zeta," in x]
 
 
-def test_imports_sit_at_module_top_and_form_no_cycle():
-    # a module-level binding is the one that monkeypatching and the
-    # benchmark's tracer replace, so no function body imports.  The
-    # module-top imports among dshuffle modules form no cycle, and linalg
-    # builds on words alone.  And report, relations and check never call
-    # into the regularization toolkit: only cli and __init__ import it
+def package_imports():
+    """(functions that import in their body, modules that import
+    regularization, {module: the dshuffle modules its top imports})."""
     inside, importers, graph = set(), set(), {}
     for path in Path(dshuffle.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -569,10 +566,44 @@ def test_imports_sit_at_module_top_and_form_no_cycle():
                             if isinstance(node, ast.ImportFrom) and node.level == 1
                             for name in ([node.module] if node.module
                                          else [a.name for a in node.names])}
+    return inside, importers, graph
+
+
+def test_imports_sit_at_module_top_and_form_no_cycle():
+    # a module-level binding is the one that monkeypatching and the
+    # benchmark's tracer replace, so no function body imports.  The
+    # module-top imports among dshuffle modules form no cycle, and linalg
+    # builds on words alone.  And report, relations and check never call
+    # into the regularization toolkit: only cli imports it
+    inside, importers, graph = package_imports()
     assert inside == set()
     graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
     assert graph["linalg"] == {"words"}
-    assert importers == {"cli", "__init__"}
+    assert importers == {"cli"}
+
+
+def test_importing_a_module_loads_only_its_import_closure():
+    # the package __init__ imports nothing, so a fresh `import dshuffle.<m>`
+    # loads the modules <m> reaches through its module-top imports and no
+    # other, and mpmath only through relations
+    _, _, graph = package_imports()
+    src = str(Path(dshuffle.__file__).resolve().parents[1])
+    code = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "importlib.import_module(sys.argv[2]); "
+            "print(*[m for m in sys.modules if m.startswith('dshuffle') or m == 'mpmath'])")
+    for stem in graph:
+        closure, todo = set(), [stem]
+        while todo:
+            closure.add(module := todo.pop())
+            todo += graph[module] - closure
+        closure.discard("__init__")
+        name = "dshuffle" if stem == "__init__" else f"dshuffle.{stem}"
+        proc = subprocess.run([sys.executable, "-c", code, src, name], capture_output=True,
+                              text=True, timeout=60, check=True)
+        expected = {"dshuffle", *(f"dshuffle.{m}" for m in closure)}
+        if "relations" in closure:
+            expected.add("mpmath")
+        assert set(proc.stdout.split()) == expected, stem
 
 
 def cheap_argvs():

@@ -23,8 +23,8 @@ def test_zeta_single_guards():
     with pytest.raises(ValueError):
         zeta_single(2, 101)
     # below one digit the working precision falls under the guard digits:
-    # zeta(12) read 1.0 at -30 digits
-    for digits in (0, -30):
+    # zeta(12) read 1.0 at -30 digits; and 2.5 digits ran at 17.5
+    for digits in (0, -30, 2.5):
         with pytest.raises(ValueError):
             zeta_single(12, digits)
 
@@ -69,9 +69,10 @@ def test_zeta_double_guards():
         zeta_double(2, 0, 30)
     with pytest.raises(ValueError):
         zeta_double(2, 1, 101)
-    # zeta(2, 1) = 1.2020... read 1.0234375 at -30 digits
-    with pytest.raises(ValueError):
-        zeta_double(2, 1, -30)
+    # zeta(2, 1) = 1.2020... read 1.0234375 at -30 digits; digits is an int
+    for digits in (-30, 2.5):
+        with pytest.raises(ValueError):
+            zeta_double(2, 1, digits)
 
 
 def test_non_integer_parts_are_rejected():
@@ -164,13 +165,23 @@ def test_verify_keeps_guard_digits_at_weight40(digits):
             assert residual < mp.mpf(10) ** -(digits + 14)
 
 
-def test_verify_rejects_working_digits_above_100():
+def test_verify_rejects_working_digits_above_100(monkeypatch):
     # 90 digits plus ceil(log10 sum |q|) = 19 at weight 40 is 109 working digits
     with pytest.raises(ValueError):
         verify_relation(gkz_relations(40)[0], 90)
     # and below one: at -20 digits the residual read 2.0, under 10^20
     with pytest.raises(ValueError):
         verify_relation(gkz_relations(12)[0], -20)
+    # digits itself must be an int in 1..100, checked before any work: -2, 0
+    # and 2.5 ran at 1, 3 and 5.5 working digits and returned a residual
+    rel = gkz_relations(12)[0]
+
+    def forbidden(rel):
+        raise AssertionError("computed a scalar for out-of-range digits")
+    monkeypatch.setattr(numzeta, "gkz_scalar", forbidden)
+    for digits in (-2, 0, 2.5):
+        with pytest.raises(ValueError, match="digits must be in 1..100"):
+            verify_relation(rel, digits)
 
 
 def test_check_digits_cap_keeps_working_digits_under_100(monkeypatch):

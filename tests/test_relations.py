@@ -128,6 +128,17 @@ def test_gkz_scalar_rejects_terms_off_weight_before_building(monkeypatch, terms)
         gkz_scalar(Relation(12, "double_zeta", terms))
 
 
+def test_gkz_scalar_rejects_a_bracket_relation_before_building(monkeypatch):
+    # its terms read as Z(r, s) of weight k, so the formal space was built
+    # before a ConsistencyError, the error the CLI reports as a defect
+    def forbidden(*args):
+        raise AssertionError("built the formal space for a bracket relation")
+    for name in ("shuffle", "stuffle", "kernel"):
+        monkeypatch.setattr(relations, name, forbidden)
+    with pytest.raises(ValueError, match="not a relation among Z"):
+        gkz_scalar(ihara_relations(12)[0])
+
+
 def test_gkz_scalar_sums_a_repeated_term():
     # every term listed twice is the relation doubled, as verify_relation
     # reads it by summing every term
