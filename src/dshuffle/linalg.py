@@ -269,26 +269,24 @@ def build_S(k: int) -> Mat:
     return Mat([[-1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
 
 
+def mirror_vector(n: int, j: int, s: int) -> list:
+    """s e_j + e_(n-1-j) in Q^n, 0-based, and (s + 1) e_j at the middle of an
+    odd n.  S swaps j and n-1-j: T's columns and E_k's antisymmetry rows."""
+    v = [0] * n
+    v[j] += s
+    v[n - 1 - j] += 1
+    return v
+
+
 def build_T(k: int) -> Mat:
-    """Eigenvector basis change: columns v_1..v_m, then w_0 (k = 2 mod 4
-    only), then w_1..w_m, copied verbatim from the defining display."""
+    """Eigenvector basis change: columns v_j = e_j + e_(n-1-j), then w_0 = e_m
+    (k = 2 mod 4 only), then w_j = e_(n-1-j) - e_j, each for j < m = (k-4)//4."""
     n = _check_weight(k)
     m = (k - 4) // 4
-    cols = []
-    for j in range(1, m + 1):
-        v = [0] * n
-        v[j - 1] = 1
-        v[n - j] = 1
-        cols.append(v)
+    cols = [mirror_vector(n, j, 1) for j in range(m)]
     if k % 4 == 2:
-        w0 = [0] * n
-        w0[(k - 6) // 4] = 1
-        cols.append(w0)
-    for j in range(1, m + 1):
-        w = [0] * n
-        w[j - 1] = -1
-        w[n - j] = 1
-        cols.append(w)
+        cols.append(mirror_vector(n, m, 0))
+    cols += [mirror_vector(n, j, -1) for j in range(m)]
     return Mat(cols).transpose()
 
 

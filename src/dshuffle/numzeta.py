@@ -29,8 +29,8 @@ _SWAP = str.maketrans("xy", "yx")
 
 def zeta_single(k: int, digits: int) -> mp.mpf:
     """zeta(k) to the requested number of decimal digits."""
-    if k < 2:
-        raise ValueError("zeta(k) requires k >= 2")
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"zeta(k) requires an int k >= 2, got {k!r}")
     if not isinstance(digits, int) or not 1 <= digits <= 100:
         raise ValueError(f"digits must be in 1..100, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List
 
-from .linalg import Mat, kernel
+from .linalg import Mat, kernel, mirror_vector
 from .words import ConsistencyError, format_terms
 
 
@@ -68,13 +68,8 @@ def _solve_ek(k: int) -> tuple:
     """E_k's basis as tuples, solved and checked once per weight: ek_basis
     hands out copies, so no caller can change what the next one reads."""
     n = (k - 4) // 2
-    rows = []
     # antisymmetry: p_2i + p_(k-2-2i) = 0
-    for i in range(1, n + 1):
-        row = [0] * n
-        row[i - 1] += 1
-        row[n - i] += 1
-        rows.append(row)
+    rows = [mirror_vector(n, i, 1) for i in range(n)]
     # three-term relation: one row per power of X, one column per p_2i
     rows += map(list, zip(*(_three_term(k, i) for i in range(1, n + 1))))
     basis = kernel(Mat(rows))

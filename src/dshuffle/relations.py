@@ -95,15 +95,17 @@ def gkz_scalar(rel: Relation) -> Fraction:
     even r, s.  A kernel vector of the matrix whose columns are these rows,
     the relation and Z(k), with mu on the relation and nu on Z(k), gives
     c = -nu/mu; there must be exactly one such c.  rel must be a double_zeta
-    relation and each term a Z(r, s) of weight k, r >= 2, s >= 1, with int
-    parts and a rational coefficient, all checked before the first row is
-    built; a repeated Z(r, s) counts with the sum of its coefficients."""
+    relation of even int weight k, each term a Z(r, s) of weight k, r >= 2, s >= 1,
+    with int parts and a rational coefficient, and the terms must not sum to 0,
+    all checked first; a repeated Z(r, s) counts with the sum of its coefficients."""
     k = rel.weight
-    if rel.kind != "double_zeta" or any(r < 2 or s < 1 or r + s != k
-                                        for (r, s), _ in rel.terms):
-        raise ValueError(f"not a relation among Z(r, s) of weight {k}: {rel}")
+    if (rel.kind != "double_zeta" or not isinstance(k, int) or k % 2
+            or any(r < 2 or s < 1 or r + s != k for (r, s), _ in rel.terms)):
+        raise ValueError(f"not a relation among Z(r, s) of even int weight {k!r}: {rel}")
     relation = sum((NcPoly({word_of_composition(rs): c}) for rs, c in rel.terms),
                    NcPoly())
+    if not relation.terms:
+        raise ValueError(f"no nonzero term in the relation of weight {k}: {rel}")
     zk = word_of_composition((k,))
     bern = [Fraction(*mp.bernfrac(n)) for n in range(k + 1)]
     cols = []

@@ -64,10 +64,6 @@ class NcPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def one(cls) -> "NcPoly":
-        return cls({"": 1})
-
-    @classmethod
     def word(cls, w: Word) -> "NcPoly":
         return cls({w: 1})
 
@@ -256,8 +252,8 @@ def bracket(f: NcPoly, g: NcPoly) -> NcPoly:
 
 def ad_x_pow(n: int) -> NcPoly:
     """ad_x^n(y) = sum_i (-1)^i C(n, i) x^(n-i) y x^i; weight n+1, depth 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     return NcPoly({
         "x" * (n - i) + "y" + "x" * i: (-1) ** i * math.comb(n, i)
         for i in range(n + 1)

@@ -46,6 +46,13 @@ def test_ad_x_pow_closed_form():
         assert ad_x_pow(n).coeff("x" * (n - 1) + "yx") == -n
 
 
+def test_ad_x_pow_guard():
+    # n is an int, as every size guard takes it, so 2.0 is a ValueError
+    for n in (-1, 2.0, "2"):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            ad_x_pow(n)
+
+
 def test_dynkin_and_is_lie():
     assert dynkin(NcPoly.word("xy")) == bracket(X, Y)
     assert is_lie(bracket(X, Y))
@@ -54,7 +61,7 @@ def test_dynkin_and_is_lie():
     assert not is_lie(NcPoly.word("xyx"))
     assert is_lie(NcPoly())
     with pytest.raises(ValueError):
-        dynkin(NcPoly.one())
+        dynkin(NcPoly.word(""))
 
 
 @given(homogeneous_polys(3), homogeneous_polys(4))

@@ -405,7 +405,7 @@ def test_block_check_rejects_any_changed_top_entry(k):
 
 
 def test_S_is_involution_and_T_diagonalizes_it():
-    for k in (12, 14, 16, 18):
+    for k in (12, 14, 16, 18, 58, 60):
         S = build_S(k)
         n = S.nrows
         assert S @ S == Mat.identity(n)

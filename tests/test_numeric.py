@@ -27,6 +27,10 @@ def test_zeta_single_guards():
     for digits in (0, -30, 2.5):
         with pytest.raises(ValueError):
             zeta_single(12, digits)
+    # k is an int, as digits is: a float or str k is a caller's error, not a zeta
+    for k in (2.5, 12.0, "12"):
+        with pytest.raises(ValueError, match="int k >= 2"):
+            zeta_single(k, 30)
 
 
 def test_zeta_double_euler_z21():
@@ -60,6 +64,11 @@ def test_zeta_double_stuffle_numeric():
 def test_verify_relation_rejects_terms_off_weight():
     with pytest.raises(ValueError):
         verify_relation(Relation(12, "double_zeta", (((9, 4), 1),)), 30)
+    # an odd weight, where B_13 = 0, and a relation with no term to check
+    for rel in (Relation(13, "double_zeta", (((9, 4), 1),)),
+                Relation(12, "double_zeta", ())):
+        with pytest.raises(ValueError):
+            verify_relation(rel, 30)
 
 
 def test_zeta_double_guards():
@@ -215,8 +224,8 @@ def test_verify_rejects_bracket_relations():
 
 
 def test_verify_trivial_relation():
+    # the zero relation holds whatever the zeta values: a residual shows nothing
     rel = Relation(weight=12, kind="double_zeta",
                    terms=(((9, 3), Fraction(0)),))
-    residual, scalar = verify_relation(rel, 20)
-    assert scalar == 0
-    assert residual == 0
+    with pytest.raises(ValueError, match="no nonzero term"):
+        verify_relation(rel, 20)

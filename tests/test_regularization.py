@@ -27,14 +27,14 @@ def test_combo_arithmetic():
     b = a - Z(2)
     assert b == Z(3).scale(2)
     assert not a - a
-    assert NcPoly.one().coeff("") == 1
+    assert NcPoly.word("").coeff("") == 1
 
 
 def test_combo_shuffle_product():
     # Z(2) Z(2) = Z(xy sh xy) = 2 Z(2,2) + 4 Z(3,1)
     prod = shuffle_poly(Z(2), Z(2))
     assert prod == Z(2, 2).scale(2) + Z(3, 1).scale(4)
-    assert shuffle_poly(NcPoly.one(), Z(2)) == Z(2)
+    assert shuffle_poly(NcPoly.word(""), Z(2)) == Z(2)
 
 
 def test_decompose():
@@ -51,7 +51,7 @@ def test_regularize_letters_vanish():
 
 def test_regularize_empty_word_is_unit():
     # regularization is an algebra map, so Z(empty) = 1
-    assert shuffle_regularize("") == NcPoly.one()
+    assert shuffle_regularize("") == NcPoly.word("")
 
 
 def test_regularize_convergent_identity():
@@ -92,7 +92,7 @@ def test_regularization_kills_x_shuffles_too():
 
 def test_star_units_low_weight():
     units = star_units(4)
-    assert units[0] == NcPoly.one()
+    assert units[0] == NcPoly.word("")
     assert not units[1]                 # Z*(1) = Z(y) = 0
     assert units[2] == Z(2).scale(Fraction(-1, 2))   # Z*(1,1) = -Z(2)/2
     assert units[3] == Z(3).scale(Fraction(1, 3))
@@ -249,7 +249,7 @@ def test_str():
 
 
 def test_str_unit_and_scalar():
-    assert zeta_str(NcPoly.one() - Z(2).scale(3)) == "1 - 3 Z(2)"
+    assert zeta_str(NcPoly.word("") - Z(2).scale(3)) == "1 - 3 Z(2)"
     assert (zeta_str(NcPoly({"": Fraction(-2, 3)}) + Z(3, 1).scale(Fraction(1, 2)))
             == "-2/3 + 1/2 Z(3, 1)")
 

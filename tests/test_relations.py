@@ -95,16 +95,27 @@ def test_normalized_q_vectors_never_end_negative():
 @pytest.mark.parametrize("k", range(12, 42, 2))
 def test_gkz_scalar_of_sum_formula_is_one(k):
     # sum_{r=2..k-1} Z(r, k-r) = Z(k) is none of the rows; c is unique only
-    # if Z(k) itself is not a relation, which the zero relation's 0 shows
+    # if Z(k) itself is not a relation, which c = 1 shows: were Z(k) in the
+    # rows' span, so would be this relation, and c would be free.  The zero
+    # relation holds whatever the space, so it is rejected
     terms = tuple(((r, k - r), 1) for r in range(2, k))
     assert gkz_scalar(Relation(k, "double_zeta", terms)) == 1
-    assert gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 0),))) == 0
+    with pytest.raises(ValueError, match="no nonzero term"):
+        gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 0),)))
 
 
 @pytest.mark.parametrize("k", [12, 16, 28, 40])
 def test_gkz_scalar_rejects_a_single_double_zeta(k):
     with pytest.raises(ConsistencyError):
         gkz_scalar(Relation(k, "double_zeta", (((k - 3, 3), 1),)))
+
+
+@pytest.fixture
+def no_formal_space(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built the formal space for a rejected relation")
+    for name in ("shuffle", "stuffle", "kernel"):
+        monkeypatch.setattr(relations, name, forbidden)
 
 
 # malformed terms of a weight-12 relation, each with its error and message
@@ -114,27 +125,30 @@ MALFORMED_TERMS = {
     (((12, 0), 1),): (ValueError, "weight 12"),                # not a double zeta
     (((9, 3), 1), ((9.5, 2.5), 1)): (ValueError, "admissible composition"),
     (((7, 5), 1), ((9, 3), 0.5)): (TypeError, "not a rational scalar: 0.5"),
+    # terms that sum to 0 hold in any formal space, so their scalar shows nothing
+    (): (ValueError, "no nonzero term"),
+    (((9, 3), 0),): (ValueError, "no nonzero term"),
+    (((9, 3), 1), ((7, 5), 0), ((9, 3), -1)): (ValueError, "no nonzero term"),
 }
 
 
 @pytest.mark.parametrize("terms", MALFORMED_TERMS)
-def test_gkz_scalar_rejects_terms_off_weight_before_building(monkeypatch, terms):
-    def forbidden(*args):
-        raise AssertionError("built the formal space for a malformed relation")
-    for name in ("shuffle", "stuffle", "kernel"):
-        monkeypatch.setattr(relations, name, forbidden)
+def test_gkz_scalar_rejects_terms_off_weight_before_building(no_formal_space, terms):
     error, match = MALFORMED_TERMS[terms]
     with pytest.raises(error, match=match):
         gkz_scalar(Relation(12, "double_zeta", terms))
 
 
-def test_gkz_scalar_rejects_a_bracket_relation_before_building(monkeypatch):
+def test_gkz_scalar_rejects_an_odd_or_non_int_weight_before_building(no_formal_space):
+    # B_13 = 0, and the Euler column divides by B_k
+    for k, s in ((13, 4), (12.0, 3), ("12", 3)):
+        with pytest.raises(ValueError, match=f"even int weight {k!r}"):
+            gkz_scalar(Relation(k, "double_zeta", (((9, s), 1),)))
+
+
+def test_gkz_scalar_rejects_a_bracket_relation_before_building(no_formal_space):
     # its terms read as Z(r, s) of weight k, so the formal space was built
     # before a ConsistencyError, the error the CLI reports as a defect
-    def forbidden(*args):
-        raise AssertionError("built the formal space for a bracket relation")
-    for name in ("shuffle", "stuffle", "kernel"):
-        monkeypatch.setattr(relations, name, forbidden)
     with pytest.raises(ValueError, match="not a relation among Z"):
         gkz_scalar(ihara_relations(12)[0])
 

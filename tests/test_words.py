@@ -47,7 +47,7 @@ def test_pair_right_linear():
 def test_shuffle_examples():
     assert shuffle("x", "y") == NcPoly({"xy": 1, "yx": 1})
     assert shuffle("xxy", "") == NcPoly.word("xxy")
-    assert shuffle("", "") == NcPoly.one()
+    assert shuffle("", "") == NcPoly.word("")
     assert shuffle("y", "xy") == NcPoly({"yxy": 1, "xyy": 2})
 
 
@@ -180,7 +180,7 @@ def test_stuffle_associative_exhaustive_weight8():
 def test_concat():
     assert concat(NcPoly.word("x"), NcPoly.word("y")) == NcPoly.word("xy")
     f = NcPoly({"xy": 1, "yx": 1})
-    assert concat(f, NcPoly.one()) == f
+    assert concat(f, NcPoly.word("")) == f
     assert concat(f, NcPoly.word("y")) == NcPoly({"xyy": 1, "yxy": 1})
 
 
@@ -245,7 +245,7 @@ def test_printing():
 
 
 def test_printing_unit_term():
-    assert str(NcPoly.one() - NcPoly({"xy": 3})) == "1 - 3xy"
+    assert str(NcPoly.word("") - NcPoly({"xy": 3})) == "1 - 3xy"
 
 
 def test_shuffle_and_stuffle_have_int_coefficients():
