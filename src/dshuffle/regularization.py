@@ -6,7 +6,8 @@ the unit Z(empty) = 1 and shuffle_poly as the product.  Non-convergent words
 are rewritten onto convergent ones by the double-sum shuffle regularization,
 an algebra map that keeps the unit.  Words ending in y additionally get star
 values Z*(w), mixed from Z and the star units Z*(1, ..., 1), which Newton's
-identity reads off their exponential generating series.
+identity reads off their exponential generating series; both are kept in
+ints, scaled by factorials, and divided out once, in lowest terms.
 Setting the regularized stuffle products Z*(u) Z*(v) - Z*(u * v) to zero
 yields the linear relations defining the small-weight formal zeta quotient.
 """
@@ -14,12 +15,11 @@ yields the linear relations defining the small-weight formal zeta quotient.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Mat
 from .words import (ConsistencyError, NcPoly, Word, accumulate, check_word,
-                    composition_of_word, format_terms, is_convergent, scaled,
+                    composition_of_word, format_terms, is_convergent,
                     shuffle, shuffle_poly, stuffle, stuffle_pairs, unscaled,
                     words_of_weight)
 
@@ -64,44 +64,47 @@ def shuffle_regularize(w: Word) -> NcPoly:
 
 @lru_cache(maxsize=None)
 def star_units(N: int) -> tuple:
-    """Z*(1, ..., 1) with r ones for r = 0 .. N: the y^r coefficients E_r of
-    exp( sum_{r>=2} ((-1)^(r-1)/r) Z(r) y^r ), by Newton's identity
-    r E_r = sum_{i=2..r} (-1)^(i-1) Z(i) E_(r-i) from E_0 = 1."""
+    """F_r = r! Z*(1, ..., 1), with r ones, for r = 0 .. N, in ints:
+    Z*(1^r) is the y^r coefficient E_r of
+    exp( sum_{r>=2} ((-1)^(r-1)/r) Z(r) y^r ), and Newton's identity
+    r E_r = sum_{i=2..r} (-1)^(i-1) Z(i) E_(r-i), times (r-1)!, reads
+    F_r = sum_{i=2..r} (-1)^(i-1) perm(r-1, i-1) Z(i) F_(r-i) from F_0 = 1."""
     units = [NcPoly.word("")]
     for r in range(1, N + 1):
         out: dict = {}
         for i in range(2, r + 1):
             term = shuffle_poly(NcPoly.word("x" * (i - 1) + "y"), units[r - i])
-            accumulate(out, term.terms, Fraction((-1) ** (i - 1), r))
+            accumulate(out, term.terms, (-1) ** (i - 1) * math.perm(r - 1, i - 1))
         units.append(NcPoly._wrap(out))
     return tuple(units)
 
 
 def star_regularize(w: Word) -> NcPoly:
-    """Z*(w) for a word ending in y: identity on convergent words, and the
-    mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) otherwise; since
-    Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power gets its star unit."""
+    """Z*(w) for a word ending in y, read off _scaled_star: identity on
+    convergent words, and the mixing sum Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v)
+    otherwise; since Z(y^j) = 0 for j >= 1 and Z(empty) = 1, a pure y-power
+    gets its star unit."""
     check_word(w)
     if not w or w[-1] != "y":
         raise ValueError(f"star regularization needs a word ending in y: {w!r}")
-    if is_convergent(w):
-        return NcPoly.word(w)
-    m = len(w) - len(w.lstrip("y"))
-    units = star_units(m)
-    out: dict = {}
-    for r in range(m + 1):
-        accumulate(out, shuffle_poly(units[r], shuffle_regularize(w[r:])).terms)
-    return NcPoly._wrap(out)
+    z, d = _scaled_star(w)
+    return NcPoly._wrap({t: unscaled(c, d) for t, c in z.terms.items()})
 
 
 @lru_cache(maxsize=None)
 def _scaled_star(w: Word) -> tuple:
-    """(Z, d) with Z*(w) = Z / d: star_regularize(w) cleared of denominators
-    by their lcm d, so Z has int coefficients.  Cached: callers only read
-    its terms."""
-    terms = star_regularize(w).terms
-    ints, den = scaled(terms.values())
-    return NcPoly._wrap(dict(zip(terms, ints))), den
+    """(Z, d) with Z*(w) = Z / d in lowest terms, Z with int coefficients,
+    for a word w = y^m v ending in y: m! Z*(w) = sum_r perm(m, m-r) F_r
+    sh reg(y^(m-r) v), summed in ints and divided by its gcd with m!.
+    Cached: callers only read its terms."""
+    m = len(w) - len(w.lstrip("y"))
+    units = star_units(m)
+    out: dict = {}
+    for r in range(m + 1):
+        term = shuffle_poly(units[r], shuffle_regularize(w[r:]))
+        accumulate(out, term.terms, math.perm(m, m - r))
+    g = math.gcd(scale := math.factorial(m), *out.values())
+    return NcPoly._wrap({t: c // g for t, c in out.items()}), scale // g
 
 
 def _relation_sums(u: Word, v: Word) -> tuple:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (fraction_rref, fraction_stuffle_relation, poly_weight,
-                      star_unit_oracle, words, y_words)
+                      shuffle_oracle, star_unit_oracle, words, y_words)
 from dshuffle import regularization
 from dshuffle.linalg import Mat
 from dshuffle.regularization import (_relation_sums, _scaled_star, decompose,
@@ -91,15 +92,47 @@ def test_regularization_kills_x_shuffles_too():
 
 
 def test_star_units_low_weight():
+    # F_r = r! Z*(1^r)
     units = star_units(4)
     assert units[0] == NcPoly.word("")
     assert not units[1]                 # Z*(1) = Z(y) = 0
-    assert units[2] == Z(2).scale(Fraction(-1, 2))   # Z*(1,1) = -Z(2)/2
-    assert units[3] == Z(3).scale(Fraction(1, 3))
+    assert units[2] == Z(2).scale(-1)   # Z*(1,1) = -Z(2)/2
+    assert units[3] == Z(3).scale(2)    # Z*(1,1,1) = Z(3)/3
 
 
 def test_star_units_match_exponential_expansion():
-    assert list(star_units(14)) == [star_unit_oracle(N) for N in range(15)]
+    assert list(star_units(14)) == [star_unit_oracle(N).scale(math.factorial(N))
+                                    for N in range(15)]
+
+
+def y_words_up_to(n):
+    return [w for k in range(1, n + 1) for w in words_of_weight(k) if w.endswith("y")]
+
+
+def test_star_regularize_matches_fraction_mixing_sum():
+    """Z*(y^m v) = sum_r Z*(1^r) Z(y^(m-r) v) summed in Fractions, with the
+    star units expanded from the exponential series and multiplied by the
+    positions formula, against the int path; and each scaled star is in
+    lowest terms."""
+    units = [star_unit_oracle(N) for N in range(11)]
+    for w in y_words_up_to(10):
+        m = len(w) - len(w.lstrip("y"))
+        out: dict = {}
+        for r in range(m + 1):
+            for u, a in units[r].terms.items():
+                for v, b in shuffle_regularize(w[r:]).terms.items():
+                    for t, c in shuffle_oracle(u, v).items():
+                        out[t] = out.get(t, 0) + a * b * c
+        assert star_regularize(w) == NcPoly(out), w
+        z, d = _scaled_star(w)
+        assert math.gcd(d, *z.terms.values()) == 1, w
+
+
+def test_star_values_are_held_in_ints():
+    # a Fraction anywhere in the star path would show here
+    scaled = [_scaled_star(w)[0] for w in y_words_up_to(10)]
+    for f in (*star_units(14), *scaled):
+        assert {type(c) for c in f.terms.values()} <= {int}, f
 
 
 def test_star_regularize_cases():
