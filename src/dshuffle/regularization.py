@@ -3,11 +3,11 @@
 Z(w) symbols for convergent words span the regularized shuffle algebra; a
 combination of them is an NcPoly on convergent words, with the empty word as
 the unit Z(empty) = 1 and shuffle_poly as the product.  Non-convergent words
-are rewritten onto convergent ones by the double-sum shuffle regularization,
-an algebra map that keeps the unit.  Words ending in y additionally get star
-values Z*(w), mixed from Z and the star units Z*(1, ..., 1), which Newton's
-identity reads off their exponential generating series; both are kept in
-ints, scaled by factorials, and divided out once, in lowest terms.
+are rewritten onto convergent ones by the one-sided formulas of the shuffle
+regularization, an algebra map that keeps the unit.  Words ending in y also
+get star values Z*(w), mixed from Z and the star units Z*(1, ..., 1), which
+Newton's identity reads off their exponential generating series; both are
+kept in ints, scaled by factorials, and divided out once, in lowest terms.
 Setting the regularized stuffle products Z*(u) Z*(v) - Z*(u * v) to zero
 yields the linear relations defining the small-weight formal zeta quotient.
 """
@@ -45,21 +45,25 @@ def decompose(w: Word) -> tuple:
 
 @lru_cache(maxsize=None)
 def shuffle_regularize(w: Word) -> NcPoly:
-    """Express Z(w) on convergent words via the double-sum shuffle
-    regularization; the identity on already-convergent words, and the unit
-    on the empty word, as regularization is an algebra map: Z(empty) = 1.
-    The alternating sum over (a, b) is the regularization map itself, so it
-    cancels every non-convergent word and needs no projection."""
+    """Express Z(w) on convergent words by the shuffle regularization, the
+    algebra map that is the identity on convergent words, the unit on the
+    empty word, Z(empty) = 1, and 0 on x and y, through its one-sided
+    formulas (Ihara, Kaneko and Zagier 2006; proved in tests/conftest.py):
+    reg(u y x^s) = (-1)^s reg((u sh x^s) y) takes one cached step to
+    reg(y^r x q) = (-1)^r x (q sh y^r), q ending in y, which is convergent."""
     if is_convergent(w) or not w:
         return NcPoly.word(w)
     r, v, s = decompose(w)
-    out: dict = {}
-    for a in range(r + 1):
-        for b in range(s + 1):
-            inner = "y" * (r - a) + v + "x" * (s - b)
-            poly = shuffle_poly(shuffle("y" * a, inner), NcPoly.word("x" * b))
-            accumulate(out, poly.terms, -1 if (a + b) % 2 else 1)
-    return NcPoly._wrap(out)
+    if not w.strip("x") or not w.strip("y"):  # x^s or y^r
+        return NcPoly()
+    sign = (-1) ** (s or r)
+    if s:
+        out: dict = {}
+        for t, c in shuffle(w[: -s - 1], "x" * s).terms.items():
+            accumulate(out, shuffle_regularize(t + "y").terms, sign * c)
+        return NcPoly._wrap(out)
+    return NcPoly._wrap({"x" + t: sign * c
+                         for t, c in shuffle(v[1:], "y" * r).terms.items()})
 
 
 @lru_cache(maxsize=None)

@@ -136,6 +136,38 @@ def shuffle_oracle(u, v):
     return dict(out)
 
 
+_shuffle_oracle_memo = lru_cache(maxsize=None)(shuffle_oracle)  # callers only read
+
+
+def double_sum_regularize_oracle(w):
+    """reg(w) by the double sum shuffle_regularize replaced: for
+    w = y^r v x^s with v convergent or empty,
+    reg(w) = sum_(a, b) (-1)^(a+b) (y^a sh y^(r-a) v x^(s-b)) sh x^b,
+    summed over a first, then shuffled with x^b, by shuffle_oracle alone;
+    the {word: coefficient} dict.  The one-sided formulas follow from reg
+    being an algebra map that kills x and y.  For s >= 1,
+    0 = reg(uy sh x^s) = sum_(i<=s) reg(((u sh x^(s-i)) y) x^i).  By induction
+    on s, term i < s is (-1)^i reg(((u sh x^(s-i)) sh x^i) y), that is
+    (-1)^i C(s, i) reg((u sh x^s) y); as sum_(i<s) (-1)^i C(s, i) = -(-1)^s,
+    term i = s is reg(u y x^s) = (-1)^s reg((u sh x^s) y), the x side.  The
+    y side, reg(y^r x q) = (-1)^r x (q sh y^r) for q ending in y, follows by
+    the reversal that swaps x and y, which commutes with reg and sh."""
+    r = len(w) - len(w.lstrip("y"))
+    s = len(w) - r - len(w[r:].rstrip("x"))
+    v = w[r:len(w) - s]
+    out = Counter()
+    for b in range(s + 1):
+        inner = Counter()
+        for a in range(r + 1):
+            rest = "y" * (r - a) + v + "x" * (s - b)
+            for t, c in _shuffle_oracle_memo("y" * a, rest).items():
+                inner[t] += (-1) ** a * c
+        for t, c in inner.items():
+            for u, d in _shuffle_oracle_memo(t, "x" * b).items():
+                out[u] += (-1) ** b * c * d
+    return {u: c for u, c in out.items() if c}
+
+
 @lru_cache(maxsize=None)
 def _stuffle_compositions(a, b):
     """(a_1, A) * (b_1, B) = a_1 (A * b) + b_1 (a * B) + (a_1 + b_1) (A * B)

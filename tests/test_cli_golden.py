@@ -44,7 +44,10 @@ def commands() -> dict:
                        for n in range(7) for w in words_of_weight(n)
                        for star in ([], ["--star"])]
                       + [["regularize", "--word", "y" * m, "--star"] for m in range(7, 13)]
-                      + [["regularize", "--word", "y" + "x" * 11 + "y", "--star"]],
+                      + [["regularize", "--word", "y" + "x" * 11 + "y", "--star"]]
+                      + [["regularize", "--word", w]
+                         for w in ("y" * 6 + "x" * 8, "yxyyxxyxxyyxxx", "x" * 6 + "y" * 7 + "x")]
+                      + [["regularize", "--word", "y" * 10 + "x" * 3 + "y", "--star"]],
     }
 
 

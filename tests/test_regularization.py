@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fraction_rref, fraction_stuffle_relation, poly_weight,
-                      shuffle_oracle, star_unit_oracle, words, y_words)
+from conftest import (double_sum_regularize_oracle, fraction_rref,
+                      fraction_stuffle_relation, poly_weight, shuffle_oracle,
+                      star_unit_oracle, words, y_words)
 from dshuffle import regularization
 from dshuffle.linalg import Mat
 from dshuffle.regularization import (_relation_sums, _scaled_star, decompose,
@@ -60,6 +61,28 @@ def test_regularize_convergent_identity():
         for w in words_of_weight(n):
             if is_convergent(w):
                 assert shuffle_regularize(w) == NcPoly.word(w)
+
+
+def test_shuffle_regularize_matches_double_sum_through_length_11():
+    # the one-sided formulas against the double sum they replaced, from cold
+    # caches, on every word of at most 11 letters
+    shuffle_regularize.cache_clear()
+    for n in range(12):
+        for w in words_of_weight(n):
+            assert shuffle_regularize(w).terms == double_sum_regularize_oracle(w), w
+
+
+def test_shuffle_regularize_takes_no_bilinear_shuffle(monkeypatch):
+    # regularize without --star must not slip back to the double sum, whose
+    # terms shuffle_poly multiplied out
+    def spy(f, g):
+        raise AssertionError("shuffle_regularize called shuffle_poly")
+
+    monkeypatch.setattr(regularization, "shuffle_poly", spy)
+    shuffle_regularize.cache_clear()
+    for n in range(10):
+        for w in words_of_weight(n):
+            shuffle_regularize(w)
 
 
 def test_regularize_goldens():
@@ -327,8 +350,8 @@ def test_values_are_on_convergent_or_empty_words(w, y, u, v, n):
 
 
 def test_shuffle_regularize_is_on_convergent_or_empty_words_through_weight_9():
-    # exhaustive: with no projection, only the alternating sum of
-    # shuffle_regularize keeps non-convergent words out
+    # exhaustive: with no projection, only the one-sided formulas, the x side
+    # stepping onto the y side, keep non-convergent words out
     for n in range(10):
         for w in words_of_weight(n):
             assert all(not t or is_convergent(t) for t in shuffle_regularize(w).terms), w
