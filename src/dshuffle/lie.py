@@ -12,8 +12,8 @@ from functools import lru_cache
 
 from .linalg import Mat, kernel
 # odot too: the benchmark's tracer wraps it as lie.odot
-from .words import (NcPoly, Word, accumulate, bracket, derivation_apply, odot, pair,
-                    stuffle, stuffle_pairs, words_of_weight)
+from .words import (ConsistencyError, NcPoly, Word, accumulate, bracket, derivation_apply,
+                    odot, pair, stuffle, stuffle_pairs, words_of_weight)
 
 
 def poisson(f: NcPoly, g: NcPoly) -> NcPoly:
@@ -59,22 +59,26 @@ def ds_solve(n: int) -> list:
     """Basis of the weight-n double shuffle solutions inside Lie_n[x, y].
 
     Solves (f | u * v) = 0 over all admissible stuffle pairs, with f ranging
-    over the Lyndon-word basis of Lie_n.  Each solution is normalized so the
-    coefficient of x^(n-1) y is 1 when nonzero.
+    over the Lyndon-word basis of Lie_n; the rows are read off a word index
+    of that basis.  pair certifies each kernel combination against every
+    u * v before it is normalized, trusting neither the rows nor kernel, and
+    a failure raises ConsistencyError (soundness, not completeness).  Each
+    solution is normalized so the coefficient of x^(n-1) y is 1 when nonzero.
     """
-    if not isinstance(n, int) or not 3 <= n <= 10:
-        raise ValueError("ds_solve supports 3 <= n <= 10")
+    if not isinstance(n, int) or not 3 <= n <= 11:
+        raise ValueError("ds_solve supports 3 <= n <= 11")
     basis = lie_basis(n)
-    support: dict = {}  # word -> indices of the basis elements that hold it
+    index: dict = {}  # word w -> [(j, c)]: c is the coefficient of w in basis[j]
     for j, b in enumerate(basis):
-        for w in b.terms:
-            support.setdefault(w, set()).add(j)
+        for w, c in b.terms.items():
+            index.setdefault(w, []).append((j, c))
+    stuffles = {(u, v): stuffle(u, v) for u, v in admissible_stuffle_pairs(n)}
     rows = []
-    for u, v in admissible_stuffle_pairs(n):
-        st = stuffle(u, v)
+    for st in stuffles.values():
         row = [0] * len(basis)
-        for j in set().union(*(support.get(w, ()) for w in st.terms)):
-            row[j] = pair(basis[j], st)
+        for w, c_st in st.terms.items():
+            for j, c_b in index.get(w, ()):
+                row[j] += c_st * c_b
         rows.append(row)
     out = []
     for vec in kernel(Mat(rows)):
@@ -82,6 +86,9 @@ def ds_solve(n: int) -> list:
         for c, b in zip(vec, basis):
             accumulate(terms, b.terms, c)
         f = NcPoly._wrap(terms)
+        for (u, v), st in stuffles.items():
+            if pair(f, st):
+                raise ConsistencyError(f"ds_solve({n}) returned f with (f | {u} * {v}) != 0")
         lead = f.coeff("x" * (n - 1) + "y")
         if lead:
             f = f.scale(Fraction(1) / lead)

@@ -305,8 +305,11 @@ REPORT_12 = ["report", "--from", "12", "--to", "12"]
     ("periodpoly", "kernel", lambda M: [[1, 2, 3, 4]],
      ["relations", "--weight", "12", "--kind", "bracket"],
      ["E_12 basis vector violates antisymmetry"]),
+    # the first basis element, ad_x^4(y), is no weight-5 solution
+    ("lie", "kernel", lambda M: [[1] + [0] * (M.ncols - 1)],
+     ["ds-solve", "--weight", "5"], ["ds_solve(5) returned f with (f | y * xxxy) != 0"]),
 ], ids=["symbolic", "block", "duality", "q_equals_DBa", "dims", "span_ker_tA", "scalar",
-        "antisymmetry", "antisymmetry_bracket"])
+        "antisymmetry", "antisymmetry_bracket", "ds_certificate"])
 def test_every_check_can_fire(capsys, monkeypatch, module, name, fake, argv, messages):
     monkeypatch.setattr(importlib.import_module(f"dshuffle.{module}"), name, fake)
     code, out, err = run(capsys, *argv)
@@ -608,7 +611,7 @@ def test_importing_a_module_loads_only_its_import_closure():
 
 def cheap_argvs():
     """Command lines of every subcommand that run in well under a second,
-    valid or not: no ds-solve 9/10, no fz-dim 8..10, no numeric check, and no
+    valid or not: no ds-solve 9..11, no fz-dim 8..10, no numeric check, and no
     weight near the matrix builders' cap of 200, where M, tADB and Asym
     take about 0.2-0.4 s."""
     def ints(lo, hi):
@@ -636,7 +639,7 @@ def cheap_argvs():
         st.builds(check, no_numeric_work, ints(15, 40)),
         st.builds(lambda a, d: ["report", "--from", str(a), "--to", str(a + d)],
                   weights, ints(-4, 6)),
-        st.builds(lambda n: ["ds-solve", "--weight", str(n)], ints(-2, 8) | ints(11, 64)),
+        st.builds(lambda n: ["ds-solve", "--weight", str(n)], ints(-2, 8) | ints(12, 64)),
         st.builds(lambda n: ["fz-dim", "--weight", str(n)], ints(-2, 7) | ints(11, 64)),
         st.builds(lambda w, star: ["regularize", "--word", w] + star,
                   st.text(alphabet="xy", max_size=8) | st.sampled_from(["z", "xyz", "1", " "])

@@ -38,7 +38,7 @@ def commands() -> dict:
                      for k in range(12, 21, 2) for f in FORMATS],
         "report": [["report", "--from", "12", "--to", "40"],
                    ["report", "--from", "42", "--to", "60"]],
-        "ds-solve": [["ds-solve", "--weight", str(n)] for n in range(3, 11)],
+        "ds-solve": [["ds-solve", "--weight", str(n)] for n in range(3, 12)],
         "fz-dim": [["fz-dim", "--weight", str(n)] for n in range(2, 11)],
         "regularize": [["regularize", "--word", w] + star
                        for n in range(7) for w in words_of_weight(n)

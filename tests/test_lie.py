@@ -180,8 +180,8 @@ def test_ds_solve_dimensions_independent_oracle():
 
 
 def test_ds_solve_rows_are_the_pairings(monkeypatch):
-    # rows are paired only where supports meet; they must still be the full
-    # matrix (b | u * v), and kernel must see exactly that matrix
+    # rows are filled through a word index of the basis; they must still be
+    # the full matrix (b | u * v), and kernel must see exactly that matrix
     from dshuffle import lie
     seen = []
     real_kernel = lie.kernel
@@ -191,15 +191,14 @@ def test_ds_solve_rows_are_the_pairings(monkeypatch):
         return real_kernel(m)
 
     monkeypatch.setattr(lie, "kernel", kernel_spy)
-    for n in range(3, 10):
+    for n in range(3, 11):
         seen.clear()
         ds_solve(n)
         basis = lie_basis(n)
         assert seen == [[[pair(b, stuffle(u, v)) for b in basis]
                          for u, v in admissible_stuffle_pairs(n)]]
-    # pair stays the one pairing: perfbench's
-    # test_traced_counts_repeat_with_the_seed asserts words.pair.calls > 0
-    # on solver_sweep, so the rows must not be built without it
+    # pair is the certificate, not the row builder: each returned solution
+    # is paired with every u * v once, and nothing else calls it
     calls = 0
 
     def counting_pair(f, g):
@@ -208,8 +207,17 @@ def test_ds_solve_rows_are_the_pairings(monkeypatch):
         return pair(f, g)
 
     monkeypatch.setattr(lie, "pair", counting_pair)
-    ds_solve(9)
+    sols = ds_solve(9)
     assert 0 < calls < len(admissible_stuffle_pairs(9)) * len(lie_basis(9))
+    assert calls == len(admissible_stuffle_pairs(9)) * len(sols)
+
+
+def test_ds_solve_weight11_solutions_pass_ds_check():
+    sols = ds_solve(11)
+    assert len(sols) == 2
+    for f in sols:
+        assert poly_weight(f) == 11
+        assert ds_check(f) == []
 
 
 def test_poisson_of_solutions_stays_in_ds():
@@ -224,7 +232,7 @@ def test_ds_solve_range_guard():
     with pytest.raises(ValueError):
         ds_solve(2)
     with pytest.raises(ValueError):
-        ds_solve(11)
+        ds_solve(12)
 
 
 def test_cached_brackets_survive_solver():

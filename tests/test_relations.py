@@ -258,7 +258,7 @@ def test_report_weight_guard(monkeypatch):
 
 
 # the calls whose size is n: an int n in range and its range's message
-N_RANGES = {ds_solve: (9, "3 <= n <= 10"), fz_quotient_dim: (4, "2 <= n <= 10"),
+N_RANGES = {ds_solve: (9, "3 <= n <= 11"), fz_quotient_dim: (4, "2 <= n <= 10"),
             sh_basis_dim: (4, "2 <= n <= 8")}
 
 
