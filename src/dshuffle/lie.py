@@ -25,8 +25,8 @@ def poisson(f: NcPoly, g: NcPoly) -> NcPoly:
 
 
 def admissible_stuffle_pairs(n: int) -> list:
-    """Pairs (u, v), u <= v, of nonempty words ending in y with |u| + |v| = n,
-    not both powers of y."""
+    """Pairs (u, v) of nonempty words ending in y with |u| + |v| = n, not
+    both powers of y, by increasing |u|, with u <= v when |u| = |v|."""
     return [(u, v) for u, v in stuffle_pairs(n) if "x" in u + v]
 
 
@@ -58,12 +58,14 @@ def lie_basis(n: int) -> list:
 def ds_solve(n: int) -> list:
     """Basis of the weight-n double shuffle solutions inside Lie_n[x, y].
 
-    Solves (f | u * v) = 0 over all admissible stuffle pairs, with f ranging
-    over the Lyndon-word basis of Lie_n; the rows are read off a word index
-    of that basis.  pair certifies each kernel combination against every
-    u * v before it is normalized, trusting neither the rows nor kernel, and
-    a failure raises ConsistencyError (soundness, not completeness).  Each
-    solution is normalized so the coefficient of x^(n-1) y is 1 when nonzero.
+    Solves (f | u * v) = 0 with f ranging over the Lyndon-word basis of
+    Lie_n, from the admissible stuffle pairs with a depth-1 factor (u or v
+    with a single y), which cut the kernel that all of them cut; the rows
+    are read off a word index of that basis.  pair certifies each kernel
+    combination against u * v for every admissible pair before it is
+    normalized, trusting neither the rows nor kernel, and a failure raises
+    ConsistencyError (soundness, not completeness).  Each solution is
+    normalized so the coefficient of x^(n-1) y is 1 when nonzero.
     """
     if not isinstance(n, int) or not 3 <= n <= 11:
         raise ValueError("ds_solve supports 3 <= n <= 11")
@@ -74,7 +76,9 @@ def ds_solve(n: int) -> list:
             index.setdefault(w, []).append((j, c))
     stuffles = {(u, v): stuffle(u, v) for u, v in admissible_stuffle_pairs(n)}
     rows = []
-    for st in stuffles.values():
+    for (u, v), st in stuffles.items():
+        if min(u.count("y"), v.count("y")) > 1:
+            continue
         row = [0] * len(basis)
         for w, c_st in st.terms.items():
             for j, c_b in index.get(w, ()):

@@ -8,8 +8,9 @@ regularization, an algebra map that keeps the unit.  Words ending in y also
 get star values Z*(w), mixed from Z and the star units Z*(1, ..., 1), which
 Newton's identity reads off their exponential generating series; both are
 kept in ints, scaled by factorials, and divided out once, in lowest terms.
-Setting the regularized stuffle products Z*(u) Z*(v) - Z*(u * v) to zero
-yields the linear relations defining the small-weight formal zeta quotient.
+The regularized stuffle products Z*(u) Z*(v) - Z*(u * v) span the relations
+of the small-weight formal zeta quotient, and so does the smaller family
+reg(u sh v - u * v) that fz_quotient_dim takes, with no star values.
 """
 
 from __future__ import annotations
@@ -135,15 +136,22 @@ def stuffle_relation(u: Word, v: Word) -> NcPoly:
 
 def fz_quotient_dim(n: int) -> tuple:
     """Dimension of the weight-n formal zeta quotient and a reduced
-    basis of the relation space (rows over convergent symbols).  A row is
-    the int sums of a nonzero stuffle_relation(u, v): the same row up to
-    scale, with no denominator for kernel to clear."""
+    basis of the relation space (rows over convergent symbols).  Its rows
+    are reg(u sh v - u * v), in ints, for v convergent and u convergent
+    (finite double shuffle) or y (Hoffman's relation), in stuffle_pairs
+    order (Ihara, Kaneko and Zagier 2006); a test checks that they span
+    what the star relations of all of stuffle_pairs(n) span."""
     if not isinstance(n, int) or not 2 <= n <= 10:
         raise ValueError("quotient dimensions are desk-scale: 2 <= n <= 10")
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
     rows = []
     for u, v in stuffle_pairs(n):
-        sums, _ = _relation_sums(u, v)
+        if not is_convergent(v) or not (u == "y" or is_convergent(u)):
+            continue
+        sums: dict = {}
+        for prod, sign in ((shuffle(u, v), 1), (stuffle(u, v), -1)):
+            for t, c in prod.terms.items():
+                accumulate(sums, shuffle_regularize(t).terms, sign * c)
         if "" in sums:
             raise ConsistencyError("weight-homogeneous relation grew a scalar part")
         if sums:

@@ -256,7 +256,7 @@ def test_report_bad_range_exit_2(capsys, start, stop):
 @pytest.mark.parametrize("module, name, fake, argv", [
     ("relations", "same_span", lambda vs, ws: False, ["relations", "--weight", "12"]),
     ("periodpoly", "ek_dim_formula", lambda k: -1, ["period-basis", "--weight", "12"]),
-    ("regularization", "_relation_sums", lambda u, v: ({"": 1}, 1),
+    ("regularization", "shuffle_regularize", lambda w: NcPoly.word(""),
      ["fz-dim", "--weight", "4"]),
 ])
 def test_consistency_failure_exit_1(capsys, monkeypatch, module, name, fake, argv):

@@ -8,6 +8,7 @@ from conftest import (ds_check, dynkin, homogeneous_polys, is_lie, necklace_coun
                       poly_weight, rref_rank)
 from dshuffle.lie import (admissible_stuffle_pairs, ds_solve, lie_basis, lyndon_bracket,
                           lyndon_words, poisson)
+from dshuffle.linalg import Mat
 from dshuffle.words import (NcPoly, ad_x_pow, bracket, derivation_apply, odot, pair,
                             stuffle)
 
@@ -180,8 +181,9 @@ def test_ds_solve_dimensions_independent_oracle():
 
 
 def test_ds_solve_rows_are_the_pairings(monkeypatch):
-    # rows are filled through a word index of the basis; they must still be
-    # the full matrix (b | u * v), and kernel must see exactly that matrix
+    # rows are filled through a word index of the basis, for the admissible
+    # pairs with a depth-1 factor only: kernel must see exactly (b | u * v)
+    # over those pairs, in pair order
     from dshuffle import lie
     seen = []
     real_kernel = lie.kernel
@@ -196,7 +198,8 @@ def test_ds_solve_rows_are_the_pairings(monkeypatch):
         ds_solve(n)
         basis = lie_basis(n)
         assert seen == [[[pair(b, stuffle(u, v)) for b in basis]
-                         for u, v in admissible_stuffle_pairs(n)]]
+                         for u, v in admissible_stuffle_pairs(n)
+                         if 1 in (u.count("y"), v.count("y"))]]
     # pair is the certificate, not the row builder: each returned solution
     # is paired with every u * v once, and nothing else calls it
     calls = 0
@@ -210,6 +213,26 @@ def test_ds_solve_rows_are_the_pairings(monkeypatch):
     sols = ds_solve(9)
     assert 0 < calls < len(admissible_stuffle_pairs(9)) * len(lie_basis(9))
     assert calls == len(admissible_stuffle_pairs(9)) * len(sols)
+
+
+def test_ds_solve_depth1_rows_cut_the_full_kernel(monkeypatch):
+    # the oracle for the smaller row family: the canonical kernel of the
+    # pairing matrix over every admissible pair is the one ds_solve uses
+    from dshuffle import lie
+    seen = []
+    real_kernel = lie.kernel
+
+    def kernel_spy(m):
+        seen.append(real_kernel(m))
+        return seen[-1]
+
+    monkeypatch.setattr(lie, "kernel", kernel_spy)
+    for n in range(3, 12):
+        seen.clear()
+        ds_solve(n)
+        basis = lie_basis(n)
+        full = [[pair(b, stuffle(u, v)) for b in basis] for u, v in admissible_stuffle_pairs(n)]
+        assert seen == [real_kernel(Mat(full))]
 
 
 def test_ds_solve_weight11_solutions_pass_ds_check():

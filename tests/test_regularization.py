@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (double_sum_regularize_oracle, fraction_rref,
                       fraction_stuffle_relation, poly_weight, shuffle_oracle,
-                      star_unit_oracle, words, y_words)
+                      star_unit_oracle, stuffle_oracle, words, y_words)
 from dshuffle import regularization
 from dshuffle.linalg import Mat
 from dshuffle.regularization import (_relation_sums, _scaled_star, decompose,
@@ -238,10 +239,8 @@ def test_sh_basis_dim_rank_matches_natural_column_order(n):
     assert sh_basis_dim(n) == len(ws) - len(pivots)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_weight_relations_are_multiples_of_stuffle_relations(monkeypatch, n):
-    # fz_quotient_dim's rows are the int sums before stuffle_relation's one
-    # division: the nonzero relations up to a nonzero scale, in pair order
+def spied_fz_rows(monkeypatch, n):
+    """The rows fz_quotient_dim(n) hands to Mat."""
     seen = []
 
     def spy(rows):
@@ -250,16 +249,48 @@ def test_weight_relations_are_multiples_of_stuffle_relations(monkeypatch, n):
 
     monkeypatch.setattr(regularization, "Mat", spy)
     fz_quotient_dim(n)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_fz_rows_are_finite_double_shuffle_and_hoffman(monkeypatch, n):
+    # one row reg(u sh v - u * v) per pair with v convergent and u convergent
+    # or y, in stuffle_pairs order, built from the oracles alone; no nonzero
+    # row of that family is dropped and none is added
     symbols = [w for w in words_of_weight(n) if is_convergent(w)]
-    rels = [rel for rel in (stuffle_relation(u, v) for u, v in stuffle_pairs(n)) if rel]
-    assert len(seen) == len(rels)
-    for row, rel in zip(seen, rels):
-        s = NcPoly(dict(zip(symbols, row)))
-        w = next(iter(rel.terms))
-        assert s == rel.scale(Fraction(s.coeff(w)) / rel.coeff(w))
+    want = []
     for u, v in stuffle_pairs(n):
-        sums, den = _relation_sums(u, v)
-        assert NcPoly(sums) == stuffle_relation(u, v).scale(den)
+        if not is_convergent(v) or not (u == "y" or is_convergent(u)):
+            continue
+        row = Counter()
+        for prod, sign in ((shuffle_oracle(u, v), 1), (stuffle_oracle(u, v), -1)):
+            for t, c in prod.items():
+                for w, d in double_sum_regularize_oracle(t).items():
+                    row[w] += sign * c * d
+        assert not row[""]
+        if any(row.values()):
+            want.append([row[w] for w in symbols])
+    assert spied_fz_rows(monkeypatch, n) == want
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_weight_relations_are_multiples_of_stuffle_relations(monkeypatch, n):
+    # _relation_sums is the star relation stuffle_relation times its
+    # denominator, and the star relations over all of stuffle_pairs(n) have
+    # the same rref as fz_quotient_dim's smaller family: its oracle
+    sums = []
+    for u, v in stuffle_pairs(n):
+        s, den = _relation_sums(u, v)
+        assert NcPoly(s) == stuffle_relation(u, v).scale(den)
+        sums.append(s)
+    symbols = [w for w in words_of_weight(n) if is_convergent(w)]
+    star_rows = [[s.get(w, 0) for w in symbols] for s in sums if s]
+
+    def reduced(rows):
+        red, pivots = Mat(rows).rref()
+        return red.rows[: len(pivots)], pivots
+
+    assert reduced(spied_fz_rows(monkeypatch, n)) == reduced(star_rows)
 
 
 def test_fz_quotient_dim_hands_mat_only_ints(monkeypatch):
